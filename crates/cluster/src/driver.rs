@@ -1,21 +1,24 @@
-//! The cluster front end: open-loop traffic generation, load balancing,
+//! The front end: open-loop traffic generation, load balancing,
 //! admission control, failure tolerance, and end-to-end measurement.
 //!
 //! One [`ClusterDriver`] component plays the role of the datacenter's
-//! front-end tier. It draws Poisson request arrivals scaled to the
-//! cluster's offered load, resolves each object through the consistent-
-//! hash [`HashRing`], lets the configured
-//! [`LbPolicy`] pick a replica, and pushes the request through the
-//! [`TorSwitch`] to the chosen node, where it runs as real simulated
-//! [`D2dJob`]s on that node's devices (SSD → MD5 → NIC for GETs, the
-//! reverse for PUTs — the same shapes as the Swift workload).
+//! front-end tier, for the rack and the store alike. The two are
+//! configurations of one driver that differ only in their [`OpSource`]:
+//! the Swift GET/PUT mix (one tenant, arrival-order admission) or
+//! per-tenant YCSB streams (per-node read caches, QoS admission). Each
+//! stream draws Poisson arrivals at its offered load; each request
+//! resolves through the consistent-hash [`HashRing`], a replica is picked
+//! (a cached replica first for point reads, else the configured
+//! [`LbPolicy`]), and the request crosses the [`TorSwitch`] to run as
+//! real simulated [`D2dJob`]s on that node's devices (SSD → MD5 → NIC for
+//! reads, the reverse for writes — the Swift workload's shapes).
 //!
 //! Overload is handled at admission: each node serves at most
-//! `max_outstanding` requests with at most `queue_cap` more parked in a
-//! per-node FIFO; beyond that, requests are shed immediately. Shedding
-//! bounds every queue in the system, so p99 latency of *served* requests
-//! degrades gracefully instead of growing without bound as offered load
-//! passes saturation.
+//! `max_outstanding` requests with at most `queue_cap` more per tenant
+//! parked in its [`QosQueue`]; beyond that, requests are shed
+//! immediately. Shedding bounds every queue in the system, so p99
+//! latency of *served* requests degrades gracefully instead of growing
+//! without bound as offered load passes saturation.
 //!
 //! Whole-node failures ([`NodeFault`]: a crash or a hang) are tolerated by
 //! the health layer (see [`crate::health`]):
@@ -27,18 +30,20 @@
 //!   admission queue is re-routed, and re-replication starts;
 //! - GETs may be *hedged*: after a p99-derived delay a second copy goes to
 //!   another replica and the first completion wins;
-//! - PUTs whose primary is unroutable fall back to a surviving replica
+//! - writes whose primary is unroutable fall back to a surviving replica
 //!   (write availability), counted as `put_fallbacks`;
 //! - re-replication copies the dead node's shard ranges to ring successors
 //!   as a bandwidth-capped chunk stream that contends with foreground
-//!   traffic on the switch ports.
+//!   traffic on the switch ports;
+//! - a restarted node comes back empty and rejoins through anti-entropy
+//!   repair (plus a versioned cache warm-up when it has a cache).
 //!
 //! Availability is accounted at *resolution*: every generated request ends
 //! as served, denied (shed or unroutable), or lost (stranded on a failed
 //! node with its retry budget spent), which is what the failover sweep's
 //! before/during/after phase split reports.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dcs_host::cpu::{CpuJob, CpuJobDone, CpuStats};
 use dcs_host::job::{D2dDone, D2dJob, D2dOp};
@@ -47,21 +52,25 @@ use dcs_nic::TcpFlow;
 use dcs_sim::{Bandwidth, Component, Ctx, Histogram, Msg, Rng, SimTime};
 use dcs_workloads::gen::SizeDistribution;
 use dcs_workloads::scenario::NodeRef;
+use dcs_workloads::ycsb::{StoreOp, StoreOpKind};
 
+use crate::cache::ReadCache;
 use crate::health::{HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition};
 use crate::policy::{LbPolicy, NodeLoad};
-use crate::report::{ClusterReport, NodePerf, PhasePerf};
+use crate::qos::{QosPolicy, QosQueue};
+use crate::report::{ClusterReport, NodePerf, PhasePerf, TenantPerf};
 use crate::shard::HashRing;
+use crate::source::{lba_for, object_id, Labels, OpSource, Pending, Traffic, KEY_BITS};
 use crate::switch::{SwitchConfig, TorSwitch};
 
-/// Bytes of a GET request on the wire (headers only).
-const GET_REQ_BYTES: usize = 512;
-/// Header overhead on a PUT request (the payload rides along).
-const PUT_REQ_OVERHEAD: usize = 512;
-/// Response overhead on a GET (headers + integrity digest).
-const GET_RESP_OVERHEAD: usize = 256;
-/// Bytes of a PUT acknowledgement.
-const PUT_ACK_BYTES: usize = 128;
+/// Bytes of a read request on the wire (headers only).
+const READ_REQ_BYTES: usize = 512;
+/// Header overhead on a write request (the payload rides along).
+const WRITE_REQ_OVERHEAD: usize = 512;
+/// Response overhead on a read (headers + integrity digest).
+const READ_RESP_OVERHEAD: usize = 256;
+/// Bytes of a write acknowledgement.
+const WRITE_ACK_BYTES: usize = 128;
 
 /// A mid-run node degradation: at `at_ns`, `node`'s switch port drops to
 /// `factor` of its line rate (a flapping cable / half-dead transceiver).
@@ -186,13 +195,14 @@ pub struct ClusterConfig {
     pub replication: usize,
     /// Virtual nodes per physical node on the hash ring.
     pub vnodes_per_node: usize,
-    /// Size of the object-id space.
+    /// Size of the object-id space ([`OpSource::Swift`]).
     pub objects: u64,
-    /// Fraction of requests that are GETs.
+    /// Fraction of requests that are GETs ([`OpSource::Swift`]).
     pub get_fraction: f64,
-    /// Object-size distribution.
+    /// Object-size distribution ([`OpSource::Swift`]).
     pub sizes: SizeDistribution,
-    /// Offered load per node, Gbps (cluster offered load is this × N).
+    /// Offered load per node, Gbps (cluster offered load is this × N;
+    /// [`OpSource::Swift`]).
     pub offered_gbps_per_node: f64,
     /// Total run length.
     pub duration_ns: u64,
@@ -200,7 +210,9 @@ pub struct ClusterConfig {
     pub warmup_ns: u64,
     /// Per-node concurrent request limit (admission control).
     pub max_outstanding: usize,
-    /// Per-node admission queue bound; beyond it requests are shed.
+    /// Per-node, per-tenant admission queue bound; beyond it requests
+    /// are shed. FIFO shares `queue_cap × tenants` across tenants, WFQ
+    /// gives each tenant its own `queue_cap`.
     pub queue_cap: usize,
     /// Top-of-rack switch provisioning.
     pub switch: SwitchConfig,
@@ -269,113 +281,122 @@ pub struct ClusterNode {
 }
 
 /// Kickoff event for the front end (sent once by
-/// [`build_cluster`](crate::build_cluster)).
+/// [`build_front_end`](crate::build_front_end)).
 #[derive(Debug)]
 pub struct Start;
+/// Sent by [`Cluster::run`](crate::Cluster::run) once the calendar has
+/// drained: every request leg must have resolved by then.
 #[derive(Debug)]
-struct Arrival;
+pub struct Drained;
+/// The front end's own timers and in-flight notifications: every
+/// message it sends itself.
 #[derive(Debug)]
-struct WarmupOver;
-#[derive(Debug)]
-struct WindowOver;
-#[derive(Debug)]
-struct DegradeNow;
-/// The request's bytes finished arriving at the node port: submit its jobs.
-#[derive(Debug)]
-struct Delivered {
-    req: u64,
+enum Event {
+    /// The next open-loop arrival of one op-source stream.
+    Arrival {
+        stream: usize,
+    },
+    WarmupOver,
+    WindowOver,
+    DegradeNow,
+    /// The request's bytes finished arriving at the node port: submit its
+    /// jobs.
+    Delivered {
+        req: u64,
+    },
+    /// The response's bytes finished arriving back at the front end.
+    Response {
+        req: u64,
+    },
+    /// Heartbeat cadence: probe every node, then re-arm.
+    ProbeTick,
+    /// A probe frame finished arriving at the node.
+    ProbeDelivered {
+        node: usize,
+        seq: u64,
+    },
+    /// A probe ack finished arriving back at the front end.
+    ProbeAck {
+        node: usize,
+        seq: u64,
+    },
+    /// The probe's deadline: no ack by now counts as a miss.
+    ProbeDeadline {
+        node: usize,
+        seq: u64,
+    },
+    /// Fire the `idx`-th configured [`NodeFault`].
+    NodeFaultAt {
+        idx: usize,
+    },
+    /// A [`NodeFault::Hang`] elapsed: the node resumes where it froze.
+    HangOver {
+        node: usize,
+    },
+    /// A [`NodeFault::FailSlow`] window elapsed: service latency
+    /// normalizes.
+    FailSlowOver {
+        node: usize,
+    },
+    /// A [`NodeFault::LinkDegrade`] window elapsed: the port recovers
+    /// line rate.
+    LinkRestore {
+        node: usize,
+    },
+    /// A crashed node's configured restart time: begin the rejoin
+    /// lifecycle.
+    RestartAt {
+        node: usize,
+    },
+    /// The hedge delay for `req` elapsed: issue the second GET if the
+    /// first has not resolved.
+    HedgeFire {
+        req: u64,
+    },
+    /// Pacing tick of a bulk stream: ship the next chunk.
+    BulkChunk(Bulk),
+    /// A bulk stream's last chunk was delivered.
+    BulkDone(Bulk),
 }
-/// The response's bytes finished arriving back at the front end.
-#[derive(Debug)]
-struct Response {
-    req: u64,
-}
-/// Heartbeat cadence: probe every node, then re-arm.
-#[derive(Debug)]
-struct ProbeTick;
-/// A probe frame finished arriving at the node.
-#[derive(Debug)]
-struct ProbeDelivered {
-    node: usize,
-    seq: u64,
-}
-/// A probe ack finished arriving back at the front end.
-#[derive(Debug)]
-struct ProbeAck {
-    node: usize,
-    seq: u64,
-}
-/// The probe's deadline: no ack by now counts as a miss.
-#[derive(Debug)]
-struct ProbeDeadline {
-    node: usize,
-    seq: u64,
-}
-/// Fire the `idx`-th configured [`NodeFault`].
-#[derive(Debug)]
-struct NodeFaultAt {
-    idx: usize,
-}
-/// A [`NodeFault::Hang`] elapsed: the node resumes where it froze.
-#[derive(Debug)]
-struct HangOver {
-    node: usize,
-}
-/// A [`NodeFault::FailSlow`] window elapsed: service latency normalizes.
-#[derive(Debug)]
-struct FailSlowOver {
-    node: usize,
-}
-/// A [`NodeFault::LinkDegrade`] window elapsed: the port recovers line
-/// rate.
-#[derive(Debug)]
-struct LinkRestore {
-    node: usize,
-}
-/// A crashed node's configured restart time: begin the rejoin lifecycle.
-#[derive(Debug)]
-struct RestartAt {
-    node: usize,
-}
-/// Pacing tick of the rejoin anti-entropy stream: ship the next chunk.
-#[derive(Debug)]
-struct RejoinChunk;
-/// The last rejoin chunk was delivered: the node becomes routable.
-#[derive(Debug)]
-struct RejoinDone;
-/// The hedge delay for `req` elapsed: issue the second GET if the first
-/// has not resolved.
-#[derive(Debug)]
-struct HedgeFire {
-    req: u64,
-}
-/// Pacing tick of the re-replication stream: ship the next chunk.
-#[derive(Debug)]
-struct RepairChunk;
-/// The last repair chunk was delivered.
-#[derive(Debug)]
-struct RepairDone;
 
-/// A generated request not yet dispatched (parked at admission).
-#[derive(Debug)]
-struct Pending {
-    object: u64,
-    len: usize,
-    is_get: bool,
-    arrival: SimTime,
-    /// Remaining failover re-dispatches if the serving node dies.
-    retries_left: u32,
+/// The two bulk streams between nodes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Bulk {
+    /// Re-replication of a dead node's shards to ring successors.
+    Repair,
+    /// Anti-entropy repair streaming a restarted node's shards back.
+    Rejoin,
+}
+
+/// A bandwidth-capped transfer stream between nodes: queued `(src, dst,
+/// bytes)` transfers drain over the switch in paced chunks, contending
+/// with foreground traffic on the ports.
+#[derive(Debug, Default)]
+struct BulkStream {
+    queue: VecDeque<(usize, usize, u64)>,
+    bytes_sent: u64,
+    last_delivery: SimTime,
+    start_at: Option<SimTime>,
+    done_at: Option<SimTime>,
+    active: bool,
+}
+
+impl BulkStream {
+    /// Start-to-finish latency, once the stream has finished.
+    fn elapsed(&self) -> Option<u64> {
+        Some(self.done_at? - self.start_at?)
+    }
 }
 
 /// A dispatched request leg (a hedged GET has two, linked by `partner`).
 #[derive(Debug)]
 struct InFlight {
+    tenant: usize,
+    op: StoreOp,
     node: usize,
     slot: usize,
     len: usize,
-    is_get: bool,
     arrival: SimTime,
-    object: u64,
     /// When this leg left the front end for its node. Per-leg latency is
     /// measured from here, not from `arrival`: a hedge leg fired after a
     /// long hedge delay must not charge that wait to the healthy node
@@ -395,6 +416,20 @@ struct InFlight {
     /// The other leg already resolved the request: on completion just
     /// release resources, tally nothing.
     orphaned: bool,
+    /// Served from the node's read cache (NVMe path skipped).
+    cache_hit: bool,
+    /// Committed version of the object at the cache decision.
+    decision_version: u64,
+}
+
+impl InFlight {
+    fn object(&self) -> u64 {
+        object_id(self.tenant, self.op.key)
+    }
+
+    fn is_write(&self) -> bool {
+        self.op.kind.is_write()
+    }
 }
 
 /// Why a node is coming back: the distinction only matters for the
@@ -419,20 +454,43 @@ struct Rec {
     latency_ns: u64,
 }
 
+/// The per-node read-cache layer of a tenant source. The front end owns
+/// the caches, so it can route a GET to a replica that holds the key.
+///
+/// Consistency is enforced by version: every entry records the version it
+/// was admitted at, a hit is only served when that version equals the
+/// committed version, and a write's commit invalidates every node's copy
+/// before its ack is even on the wire.
+struct CacheLayer {
+    nodes: Vec<ReadCache>,
+    /// Committed version per object (absent = 0, never written).
+    committed: BTreeMap<u64, u64>,
+    /// Entries gathered from survivors when a node restarts, admitted
+    /// when its rejoin stream lands: `(object, len, version)`.
+    warm_plan: Vec<(u64, u64, u64)>,
+}
+
+impl CacheLayer {
+    /// Committed version of an object (0 = never written).
+    fn version(&self, object: u64) -> u64 {
+        self.committed.get(&object).copied().unwrap_or(0)
+    }
+}
+
 /// The front-end component.
 pub struct ClusterDriver {
     cfg: ClusterConfig,
     nodes: Vec<ClusterNode>,
+    traffic: Traffic,
+    labels: &'static Labels,
     switch: TorSwitch,
     ring: HashRing,
-    rng: Rng,
-    // dcs-lint: allow(float-in-sim-state) — derived once from the offered load at build; read-only thereafter
-    mean_interarrival_ns: f64,
     // Admission state, indexed by node.
     outstanding: Vec<usize>,
-    queues: Vec<VecDeque<Pending>>,
+    queues: Vec<QosQueue<Pending>>,
     free_slots: Vec<Vec<usize>>,
     rr_cursor: usize,
+    cache: Option<CacheLayer>,
     // Request tracking.
     inflight: BTreeMap<u64, InFlight>,
     job_to_req: BTreeMap<u64, u64>,
@@ -470,24 +528,12 @@ pub struct ClusterDriver {
     /// When the first fault's node was marked Slow by the differential
     /// detector (gray-failure detection latency).
     slow_detected_at: Option<SimTime>,
-    slow_evictions: u64,
-    slow_readmissions: u64,
-    // Re-replication state.
+    /// Re-replication off dead nodes, and whether each node's has begun.
+    repair: BulkStream,
     repair_started: Vec<bool>,
-    repair_queue: VecDeque<(usize, usize, u64)>,
-    repair_bytes_sent: u64,
-    repair_last_delivery: SimTime,
-    repair_start_at: Option<SimTime>,
-    repair_done_at: Option<SimTime>,
-    repair_active: bool,
-    // Rejoin anti-entropy state (the reverse stream: survivors → the
-    // restarted node).
-    rejoin_queue: VecDeque<(usize, usize, u64)>,
-    rejoin_bytes_sent: u64,
-    rejoin_last_delivery: SimTime,
-    rejoin_start_at: Option<SimTime>,
-    rejoin_done_at: Option<SimTime>,
-    rejoin_active: bool,
+    /// Rejoin anti-entropy (the reverse stream: survivors → the restarted
+    /// node).
+    rejoin: BulkStream,
     /// The node currently rejoining (at most one crash-restart per run is
     /// scheduled by the sweeps, but the queue tags (src, dst) anyway).
     rejoin_node: Option<usize>,
@@ -497,57 +543,80 @@ pub struct ClusterDriver {
     measuring: bool,
     window_closed: bool,
     measure_start: SimTime,
-    latency: Histogram,
-    requests: u64,
-    bytes: u64,
-    rejected: u64,
-    failures: u64,
-    get_ok: u64,
-    get_denied: u64,
-    put_ok: u64,
-    put_denied: u64,
-    hedged: u64,
-    hedge_wins: u64,
-    retried: u64,
-    lost: u64,
-    put_fallbacks: u64,
-    degraded_marks: u64,
+    /// The report's counters, histograms and per-node/per-tenant rows,
+    /// accumulated in place; window close stamps the span and the
+    /// detection and repair figures onto a copy.
+    tally: ClusterReport,
     records: Vec<Rec>,
-    per_node: Vec<NodePerf>,
 }
 
 impl ClusterDriver {
-    /// Creates the front end over `nodes` (one entry per cluster node).
-    pub fn new(cfg: ClusterConfig, nodes: Vec<ClusterNode>, rng: Rng) -> ClusterDriver {
+    /// Creates the front end over `nodes` (one entry per cluster node),
+    /// offering `source`'s traffic under `labels`. `rng` seeds the arrival
+    /// streams.
+    pub fn new(
+        cfg: ClusterConfig,
+        source: OpSource,
+        labels: &'static Labels,
+        nodes: Vec<ClusterNode>,
+        rng: Rng,
+    ) -> ClusterDriver {
         assert_eq!(cfg.nodes, nodes.len(), "node list must match config");
         assert!(cfg.max_outstanding > 0, "admission needs at least one slot");
+        let n = nodes.len();
+        let (qos, weights, cache) = match &source {
+            OpSource::Swift => (QosPolicy::Fifo, vec![1.0], None),
+            OpSource::Tenants {
+                tenants,
+                cache,
+                qos,
+            } => (
+                *qos,
+                tenants.iter().map(|t| t.weight).collect(),
+                Some(CacheLayer {
+                    nodes: (0..n).map(|_| ReadCache::new(cache)).collect(),
+                    committed: BTreeMap::new(),
+                    warm_plan: vec![],
+                }),
+            ),
+        };
+        let tally = ClusterReport {
+            per_node: vec![NodePerf::default(); n],
+            per_tenant: source
+                .tenants()
+                .iter()
+                .map(|t| TenantPerf {
+                    name: t.name.clone(),
+                    slo_ns: t.slo_ns,
+                    ..Default::default()
+                })
+                .collect(),
+            ..ClusterReport::default()
+        };
+        let traffic = Traffic::new(source, &cfg, rng);
         assert!(
-            cfg.sizes.max as u64 * 8 <= 4 << 30,
+            traffic.slot_bytes as u64 * 8 <= 4 << 30,
             "object window sizing assumes objects of at most 512 MiB"
         );
-        let n = nodes.len();
-        let switch = TorSwitch::new(n, cfg.switch.clone());
-        let ring = HashRing::new(n, cfg.vnodes_per_node, cfg.replication);
-        let mean_size = cfg.sizes.mean_estimate();
-        let total_gbps = cfg.offered_gbps_per_node * n as f64;
-        let mean_interarrival_ns = mean_size * 8.0 / total_gbps;
-        let health = HealthMonitor::new(&cfg.health, n);
         ClusterDriver {
-            switch,
-            ring,
-            rng,
-            mean_interarrival_ns,
+            traffic,
+            labels,
+            switch: TorSwitch::new(n, cfg.switch.clone()),
+            ring: HashRing::new(n, cfg.vnodes_per_node, cfg.replication),
             outstanding: vec![0; n],
-            queues: (0..n).map(|_| VecDeque::new()).collect(),
+            queues: (0..n)
+                .map(|_| QosQueue::new(qos, &weights, cfg.queue_cap))
+                .collect(),
             free_slots: (0..n)
                 .map(|_| (0..cfg.max_outstanding).rev().collect())
                 .collect(),
             rr_cursor: 0,
+            cache,
             inflight: BTreeMap::new(),
             job_to_req: BTreeMap::new(),
             next_req: 1,
             next_job_id: 1,
-            health,
+            health: HealthMonitor::new(&cfg.health, n),
             crashed: vec![false; n],
             hung_until: vec![None; n],
             held_jobs: vec![Vec::new(); n],
@@ -565,56 +634,19 @@ impl ClusterDriver {
             fault_end_abs: None,
             fail_slow: vec![None; n],
             slow_detected_at: None,
-            slow_evictions: 0,
-            slow_readmissions: 0,
+            repair: BulkStream::default(),
             repair_started: vec![false; n],
-            repair_queue: VecDeque::new(),
-            repair_bytes_sent: 0,
-            repair_last_delivery: SimTime::ZERO,
-            repair_start_at: None,
-            repair_done_at: None,
-            repair_active: false,
-            rejoin_queue: VecDeque::new(),
-            rejoin_bytes_sent: 0,
-            rejoin_last_delivery: SimTime::ZERO,
-            rejoin_start_at: None,
-            rejoin_done_at: None,
-            rejoin_active: false,
+            rejoin: BulkStream::default(),
             rejoin_node: None,
             report_pending: None,
             measuring: false,
             window_closed: false,
             measure_start: SimTime::ZERO,
-            latency: Histogram::new(),
-            requests: 0,
-            bytes: 0,
-            rejected: 0,
-            failures: 0,
-            get_ok: 0,
-            get_denied: 0,
-            put_ok: 0,
-            put_denied: 0,
-            hedged: 0,
-            hedge_wins: 0,
-            retried: 0,
-            lost: 0,
-            put_fallbacks: 0,
-            degraded_marks: 0,
+            tally,
             records: Vec::new(),
-            per_node: vec![NodePerf::default(); n],
             cfg,
             nodes,
         }
-    }
-
-    /// Maps an object to its LBA inside a node's flash window. GETs and
-    /// PUTs use disjoint 4 GiB windows so reads never race writes.
-    fn lba_for(&self, object: u64, is_get: bool) -> u64 {
-        let blocks_per_object = (self.cfg.sizes.max.div_ceil(4096)) as u64;
-        let window_blocks = (4u64 << 30) / 4096;
-        let slots = (window_blocks / blocks_per_object).max(1);
-        let base = if is_get { 0 } else { window_blocks };
-        base + (object % slots) * blocks_per_object
     }
 
     fn loads(&self) -> Vec<NodeLoad> {
@@ -659,69 +691,83 @@ impl ClusterDriver {
 
     /// A request resolved without being served: shed/unroutable (`lost ==
     /// false`) or gone down with a failed node (`lost == true`).
-    fn note_denied(&mut self, is_get: bool, node: Option<usize>, arrival: SimTime, lost: bool) {
+    fn note_denied(
+        &mut self,
+        tenant: usize,
+        is_write: bool,
+        node: Option<usize>,
+        arrival: SimTime,
+        lost: bool,
+    ) {
         if !self.tally_active() {
             return;
         }
-        if is_get {
-            self.get_denied += 1;
+        if is_write {
+            self.tally.put_denied += 1;
         } else {
-            self.put_denied += 1;
+            self.tally.get_denied += 1;
+        }
+        if let Some(t) = self.tally.per_tenant.get_mut(tenant) {
+            t.denied += 1;
         }
         if lost {
-            self.lost += 1;
+            self.tally.lost += 1;
             if let Some(n) = node {
-                self.per_node[n].lost += 1;
+                self.tally.per_node[n].lost += 1;
             }
         } else {
-            self.rejected += 1;
+            self.tally.rejected += 1;
             if let Some(n) = node {
-                self.per_node[n].rejected += 1;
+                self.tally.per_node[n].rejected += 1;
             }
         }
         self.push_record(arrival, false, 0);
     }
 
-    /// One open-loop arrival: draw the request and route it.
-    fn on_arrival(&mut self, ctx: &mut Ctx<'_>) {
-        let object = self.rng.gen_range(0..self.cfg.objects);
-        let len = self.cfg.sizes.sample(&mut self.rng);
-        let is_get = self.rng.gen_bool(self.cfg.get_fraction);
-        let pend = Pending {
-            object,
-            len,
-            is_get,
-            arrival: ctx.now(),
-            retries_left: self.cfg.health.request_retries,
-        };
-        self.route_and_admit(ctx, pend);
-    }
-
-    /// Picks a replica for `pend` (skipping Dead / breaker-open nodes),
-    /// then admits, queues, or sheds it.
+    /// Picks a replica for `pend` (skipping Dead / Joining / breaker-open
+    /// nodes), then admits, queues, or sheds it.
     fn route_and_admit(&mut self, ctx: &mut Ctx<'_>, pend: Pending) {
         let mask = if self.cfg.health.enabled {
             self.health.unroutable_mask(ctx.now())
         } else {
             vec![false; self.nodes.len()]
         };
-        let node = if pend.is_get {
-            let candidates = self.ring.replicas_excluding(pend.object, &mask);
+        let object = pend.object();
+        let is_write = pend.op.kind.is_write();
+        let node = if !is_write {
+            let candidates = self.ring.replicas_excluding(object, &mask);
             if candidates.is_empty() {
                 ctx.world().stats.counter("cluster.unroutable").add(1);
-                self.note_denied(true, None, pend.arrival, false);
+                self.note_denied(pend.tenant, false, None, pend.arrival, false);
                 return;
             }
-            let loads = self.loads();
-            self.cfg
-                .policy
-                .choose(&candidates, &loads, &mut self.rr_cursor)
+            // Cache affinity: a point read goes to a replica already
+            // holding the current version, if any.
+            let affine = match &self.cache {
+                Some(c) if pend.op.kind == StoreOpKind::Get => {
+                    let cur = c.version(object);
+                    candidates
+                        .iter()
+                        .copied()
+                        .find(|&n| c.nodes[n].peek(object) == Some(cur))
+                }
+                _ => None,
+            };
+            match affine {
+                Some(n) => n,
+                None => {
+                    let loads = self.loads();
+                    self.cfg
+                        .policy
+                        .choose(&candidates, &loads, &mut self.rr_cursor)
+                }
+            }
         } else {
-            // PUTs pin to the primary; with the primary unroutable they
+            // Writes pin to the primary; with the primary unroutable they
             // fall back to the next surviving replica in ring order. A
             // Slow primary keeps its in-flight work but takes no *new*
-            // PUT leadership while a faster replica survives.
-            let replicas = self.ring.replicas(pend.object);
+            // write leadership while a faster replica survives.
+            let replicas = self.ring.replicas(object);
             let not_slow = |n: usize| self.health.state(n) != NodeState::Slow;
             let Some(&node) = replicas
                 .iter()
@@ -729,28 +775,35 @@ impl ClusterDriver {
                 .or_else(|| replicas.iter().find(|&&n| !mask[n]))
             else {
                 ctx.world().stats.counter("cluster.unroutable").add(1);
-                self.note_denied(false, None, pend.arrival, false);
+                self.note_denied(pend.tenant, true, None, pend.arrival, false);
                 return;
             };
             if node != replicas[0] && self.tally_active() {
-                self.put_fallbacks += 1;
+                self.tally.put_fallbacks += 1;
             }
             node
         };
         if self.outstanding[node] < self.cfg.max_outstanding {
             self.dispatch(ctx, node, pend, None);
-        } else if self.queues[node].len() < self.cfg.queue_cap {
-            self.queues[node].push_back(pend);
-        } else {
-            // Shed at the front end: bounded queues, graceful overload.
-            ctx.world().stats.counter("cluster.shed").add(1);
-            self.note_denied(pend.is_get, Some(node), pend.arrival, false);
+            return;
+        }
+        let (tenant, cost) = (pend.tenant, pend.len as f64);
+        match self.queues[node].try_push(tenant, cost, pend) {
+            Ok(()) => ctx.world().obs.count(self.labels.cat, "queued", 1),
+            Err(shed) => {
+                // The queue bound is full: shed at the front end, bounded
+                // queues, graceful overload.
+                ctx.world().stats.counter("cluster.shed").add(1);
+                ctx.world().obs.count(self.labels.cat, "shed", 1);
+                self.note_denied(shed.tenant, is_write, Some(node), shed.arrival, false);
+            }
         }
     }
 
-    /// Sends a request's bytes through the switch toward `node`; its jobs
-    /// are submitted when the transfer completes. `hedge_of` links a
-    /// hedged second leg back to its primary.
+    /// Takes the cache decision for `pend` on `node` and sends the
+    /// request's bytes through the switch; its jobs are submitted when
+    /// the transfer completes. `hedge_of` links a hedged second leg back
+    /// to its primary.
     fn dispatch(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -768,15 +821,17 @@ impl ClusterDriver {
         }
         let req = self.next_req;
         self.next_req += 1;
+        let (cache_hit, decision_version) = self.cache_decision(ctx, node, &pend);
+        let is_write = pend.op.kind.is_write();
         self.inflight.insert(
             req,
             InFlight {
+                tenant: pend.tenant,
+                op: pend.op,
                 node,
                 slot,
                 len: pend.len,
-                is_get: pend.is_get,
                 arrival: pend.arrival,
-                object: pend.object,
                 dispatched_at: ctx.now(),
                 served_at: pend.arrival,
                 pending_jobs: 0,
@@ -785,27 +840,58 @@ impl ClusterDriver {
                 partner: hedge_of,
                 retries_left: pend.retries_left,
                 orphaned: false,
+                cache_hit,
+                decision_version,
             },
         );
-        let wire_bytes = if pend.is_get {
-            GET_REQ_BYTES
+        let wire_bytes = if is_write {
+            pend.len + WRITE_REQ_OVERHEAD
         } else {
-            pend.len + PUT_REQ_OVERHEAD
+            READ_REQ_BYTES
         };
-        let deliver = self.switch.to_node(ctx.now(), node, wire_bytes);
+        let lane = self.traffic.lane(pend.tenant);
+        let deliver = self.switch.to_node_lane(ctx.now(), node, wire_bytes, lane);
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
-            obs.span("cluster", "uplink", req, now, deliver);
-            obs.count("cluster", "dispatched", 1);
+            obs.span(self.labels.cat, "uplink", req, now, deliver);
+            obs.count(self.labels.cat, "dispatched", 1);
         }
-        ctx.send_at(deliver, ctx.self_id(), Delivered { req });
+        ctx.send_at(deliver, ctx.self_id(), Event::Delivered { req });
         let h = &self.cfg.health;
-        if h.enabled && h.hedge && pend.is_get && hedge_of.is_none() && self.ring.replication() > 1
-        {
-            ctx.send_self_in(self.hedge_delay(node), HedgeFire { req });
+        if h.enabled && h.hedge && !is_write && hedge_of.is_none() && self.ring.replication() > 1 {
+            ctx.send_self_in(self.hedge_delay(node), Event::HedgeFire { req });
         }
         req
+    }
+
+    /// The cache decision for `pend` on `node`: `(hit, committed
+    /// version)`. Only point reads are eligible, and only a
+    /// version-current entry may be served. A version mismatch here is
+    /// the `stale_served` tripwire — it means an invalidation was missed
+    /// and the old bytes *would* have been served.
+    fn cache_decision(&mut self, ctx: &mut Ctx<'_>, node: usize, pend: &Pending) -> (bool, u64) {
+        let Some(cache) = &mut self.cache else {
+            return (false, 0);
+        };
+        let object = pend.object();
+        let cur = cache.version(object);
+        if pend.op.kind != StoreOpKind::Get {
+            return (false, cur);
+        }
+        let mut hit = false;
+        if let Some(v) = cache.nodes[node].lookup(object) {
+            if v == cur {
+                hit = true;
+            } else {
+                self.tally.stale_served += 1;
+                cache.nodes[node].evict_stale(object);
+                ctx.world().stats.counter("cluster.stale_lookup").add(1);
+            }
+        }
+        let name = if hit { "cache.hit" } else { "cache.miss" };
+        ctx.world().obs.count(self.labels.cat, name, 1);
+        (hit, cur)
     }
 
     /// How long to wait before hedging a GET on `node`: the minimum
@@ -820,8 +906,8 @@ impl ClusterDriver {
         ) {
             return h.hedge_min_ns;
         }
-        if self.latency.count() >= 64 {
-            if let Some(p99) = self.latency.percentile(99.0) {
+        if self.tally.latency.count() >= 64 {
+            if let Some(p99) = self.tally.latency.percentile(99.0) {
                 return p99.clamp(h.hedge_min_ns, h.hedge_max_ns);
             }
         }
@@ -834,14 +920,21 @@ impl ClusterDriver {
         if self.window_closed {
             return;
         }
-        let (node, object, len, arrival) = match self.inflight.get(&req) {
-            Some(r) if !r.orphaned && r.partner.is_none() => (r.node, r.object, r.len, r.arrival),
+        let pend = match self.inflight.get(&req) {
+            Some(r) if !r.orphaned && r.partner.is_none() => Pending {
+                tenant: r.tenant,
+                op: r.op,
+                len: r.len,
+                arrival: r.arrival,
+                retries_left: 0,
+            },
             _ => return,
         };
+        let node = self.inflight[&req].node;
         let mask = self.health.unroutable_mask(ctx.now());
         let candidates: Vec<usize> = self
             .ring
-            .replicas_excluding(object, &mask)
+            .replicas_excluding(pend.object(), &mask)
             .into_iter()
             .filter(|&n| n != node && self.outstanding[n] < self.cfg.max_outstanding)
             .collect();
@@ -853,20 +946,13 @@ impl ClusterDriver {
             .cfg
             .policy
             .choose(&candidates, &loads, &mut self.rr_cursor);
-        let pend = Pending {
-            object,
-            len,
-            is_get: true,
-            arrival,
-            retries_left: 0,
-        };
         let hedge = self.dispatch(ctx, target, pend, Some(req));
         self.inflight
             .get_mut(&req)
             .expect("primary leg is in flight")
             .partner = Some(hedge);
         if self.tally_active() {
-            self.hedged += 1;
+            self.tally.hedged += 1;
         }
         ctx.world().stats.counter("cluster.hedged").add(1);
     }
@@ -893,16 +979,20 @@ impl ClusterDriver {
         self.submit_jobs(ctx, req);
     }
 
-    /// Runs the request as real device jobs on its node.
+    /// Runs the request as real device jobs on its node: reads are
+    /// SSD → integrity hash → downlink on the server (or DRAM → downlink
+    /// on a cache hit) received at the rack-side access node; writes
+    /// stream the body from the access node while the server receives,
+    /// verifies, and persists it.
     fn submit_jobs(&mut self, ctx: &mut Ctx<'_>, req: u64) {
-        let (node, slot, len, is_get, object) = {
-            let r = self
-                .inflight
-                .get(&req)
-                .expect("submitted request is in flight");
-            (r.node, r.slot, r.len, r.is_get, r.object)
-        };
-        let lba = self.lba_for(object, is_get);
+        let r = self
+            .inflight
+            .get(&req)
+            .expect("submitted request is in flight");
+        let (node, slot, len, is_write, cache_hit) =
+            (r.node, r.slot, r.len, r.is_write(), r.cache_hit);
+        let lba = lba_for(self.traffic.slot_bytes, r.object(), !is_write);
+        let labels = self.labels;
         let server = &self.nodes[node].server;
         let access = &self.nodes[node].access;
         let reply_to = ctx.self_id();
@@ -912,42 +1002,7 @@ impl ClusterDriver {
             i
         };
         let slot16 = u16::try_from(slot).expect("slot fits a port");
-        let jobs: Vec<(dcs_sim::ComponentId, D2dJob)> = if is_get {
-            // Server: flash → integrity hash → downlink. Access: receive.
-            let flow = TcpFlow::example(1, 2, 20_000 + slot16, 8_000 + slot16);
-            vec![
-                (
-                    access.submit_to,
-                    D2dJob {
-                        id: id(),
-                        ops: vec![D2dOp::NicRecv {
-                            flow: flow.reversed(),
-                            len,
-                        }],
-                        reply_to,
-                        tag: "access",
-                    },
-                ),
-                (
-                    server.submit_to,
-                    D2dJob {
-                        id: id(),
-                        ops: vec![
-                            D2dOp::SsdRead { ssd: 0, lba, len },
-                            D2dOp::Process {
-                                function: NdpFunction::Md5,
-                                aux: vec![],
-                            },
-                            D2dOp::NicSend { flow, seq: 0 },
-                        ],
-                        reply_to,
-                        tag: "kernel-get",
-                    },
-                ),
-            ]
-        } else {
-            // Access streams the body down the node link; server receives,
-            // verifies, persists.
+        let jobs: Vec<(dcs_sim::ComponentId, D2dJob)> = if is_write {
             let flow = TcpFlow::example(2, 1, 30_000 + slot16, 8_100 + slot16);
             vec![
                 (
@@ -966,7 +1021,7 @@ impl ClusterDriver {
                             D2dOp::SsdWrite { ssd: 0, lba },
                         ],
                         reply_to,
-                        tag: "kernel-put",
+                        tag: labels.write,
                     },
                 ),
                 (
@@ -982,6 +1037,49 @@ impl ClusterDriver {
                     },
                 ),
             ]
+        } else {
+            let flow = TcpFlow::example(1, 2, 20_000 + slot16, 8_000 + slot16);
+            let server_ops = if cache_hit {
+                // The value comes straight from host DRAM; flash and the
+                // integrity hash are skipped (hashed at admission).
+                vec![D2dOp::MemRead { len }, D2dOp::NicSend { flow, seq: 0 }]
+            } else {
+                vec![
+                    D2dOp::SsdRead { ssd: 0, lba, len },
+                    D2dOp::Process {
+                        function: NdpFunction::Md5,
+                        aux: vec![],
+                    },
+                    D2dOp::NicSend { flow, seq: 0 },
+                ]
+            };
+            vec![
+                (
+                    access.submit_to,
+                    D2dJob {
+                        id: id(),
+                        ops: vec![D2dOp::NicRecv {
+                            flow: flow.reversed(),
+                            len,
+                        }],
+                        reply_to,
+                        tag: "access",
+                    },
+                ),
+                (
+                    server.submit_to,
+                    D2dJob {
+                        id: id(),
+                        ops: server_ops,
+                        reply_to,
+                        tag: if cache_hit {
+                            labels.read_hit
+                        } else {
+                            labels.read
+                        },
+                    },
+                ),
+            ]
         };
         // Front-end/application CPU work on the server (request parsing,
         // HTTP), identical across designs.
@@ -990,7 +1088,11 @@ impl ClusterDriver {
             CpuJob {
                 token: u64::MAX - req,
                 cost_ns: 80_000 + (len / 10) as u64,
-                tag: if is_get { "app-get" } else { "app-put" },
+                tag: if is_write {
+                    labels.app_write
+                } else {
+                    labels.app_read
+                },
                 reply_to,
             },
         );
@@ -1001,7 +1103,7 @@ impl ClusterDriver {
             let now = ctx.now();
             ctx.world()
                 .obs
-                .span_begin("cluster", "node-serve", req, now);
+                .span_begin(labels.cat, "node-serve", req, now);
         }
         for (target, job) in jobs {
             self.job_to_req.insert(job.id, req);
@@ -1045,16 +1147,16 @@ impl ClusterDriver {
     /// service span is stretched by the configured factor (while its
     /// probe acks, which never touch the data path, stay on time).
     fn ship_response(&mut self, ctx: &mut Ctx<'_>, req: u64) {
-        let (node, len, is_get, served_at) = {
-            let r = &self.inflight[&req];
-            (r.node, r.len, r.is_get, r.served_at)
-        };
-        let resp_bytes = if is_get {
-            len + GET_RESP_OVERHEAD
+        let r = &self.inflight[&req];
+        let (node, served_at, lane) = (r.node, r.served_at, self.traffic.lane(r.tenant));
+        let resp_bytes = if r.is_write() {
+            WRITE_ACK_BYTES
         } else {
-            PUT_ACK_BYTES
+            r.len + READ_RESP_OVERHEAD
         };
-        let arrive = self.switch.to_frontend(ctx.now(), node, resp_bytes);
+        let arrive = self
+            .switch
+            .to_frontend_lane(ctx.now(), node, resp_bytes, lane);
         let arrive = match self.fail_slow[node] {
             // factor × span: the span already elapsed once, so the hold
             // adds the remaining (factor - 1) multiples. Pure integer
@@ -1065,10 +1167,10 @@ impl ClusterDriver {
         {
             let now = ctx.now();
             let obs = &mut ctx.world().obs;
-            obs.span_end("cluster", "node-serve", req, now);
-            obs.span("cluster", "downlink", req, now, arrive);
+            obs.span_end(self.labels.cat, "node-serve", req, now);
+            obs.span(self.labels.cat, "downlink", req, now, arrive);
         }
-        ctx.send_at(arrive, ctx.self_id(), Response { req });
+        ctx.send_at(arrive, ctx.self_id(), Event::Response { req });
     }
 
     fn on_response(&mut self, ctx: &mut Ctx<'_>, req: u64) {
@@ -1080,18 +1182,20 @@ impl ClusterDriver {
             );
             return;
         };
-        self.outstanding[r.node] -= 1;
-        self.free_slots[r.node].push(r.slot);
+        self.free_leg(&r);
+        let cat = self.labels.cat;
         {
             let now = ctx.now();
             let e2e = now - r.arrival;
             let obs = &mut ctx.world().obs;
-            obs.count("cluster", "responses", 1);
-            obs.observe("cluster", "req.e2e_ns", e2e);
+            obs.count(cat, "responses", 1);
+            obs.observe(cat, "req.e2e_ns", e2e);
         }
-        // The freed slot can admit parked work.
+        // The freed slot admits the queue's next pick.
         if !self.window_closed {
-            if let Some(pend) = self.queues[r.node].pop_front() {
+            if let Some((_, pend)) = self.queues[r.node].pop() {
+                let waited = ctx.now() - pend.arrival;
+                ctx.world().obs.observe(cat, "qos.queue_wait_ns", waited);
                 self.dispatch(ctx, r.node, pend, None);
             }
         }
@@ -1104,6 +1208,9 @@ impl ClusterDriver {
         if self.cfg.health.enabled && !r.failed {
             self.health
                 .record_latency(r.node, ctx.now().saturating_since(r.dispatched_at));
+        }
+        if !r.failed {
+            self.commit_effects(ctx, &r);
         }
         if r.orphaned {
             // The other leg already resolved the request.
@@ -1124,33 +1231,107 @@ impl ClusterDriver {
                 self.health.on_request_success(r.node);
             }
         }
-        if self.tally_active() {
-            let perf = &mut self.per_node[r.node];
-            if r.failed {
-                self.failures += 1;
-                perf.failures += 1;
-                if r.is_get {
-                    self.get_denied += 1;
-                } else {
-                    self.put_denied += 1;
-                }
-                self.push_record(r.arrival, false, 0);
+        if !self.tally_active() {
+            return;
+        }
+        let perf = &mut self.tally.per_node[r.node];
+        let tenant = self.tally.per_tenant.get_mut(r.tenant);
+        if r.failed {
+            self.tally.failures += 1;
+            perf.failures += 1;
+            if r.is_write() {
+                self.tally.put_denied += 1;
             } else {
-                self.requests += 1;
-                self.bytes += r.len as u64;
-                perf.requests += 1;
-                perf.bytes += r.len as u64;
-                let lat = ctx.now() - r.arrival;
-                self.latency.record(lat);
-                if r.is_get {
-                    self.get_ok += 1;
+                self.tally.get_denied += 1;
+            }
+            if let Some(t) = tenant {
+                t.denied += 1;
+            }
+            self.push_record(r.arrival, false, 0);
+            return;
+        }
+        self.tally.requests += 1;
+        self.tally.bytes += r.len as u64;
+        perf.requests += 1;
+        perf.bytes += r.len as u64;
+        let lat = ctx.now() - r.arrival;
+        self.tally.latency.record(lat);
+        if r.is_write() {
+            self.tally.put_ok += 1;
+        } else {
+            self.tally.get_ok += 1;
+        }
+        if r.is_hedge {
+            self.tally.hedge_wins += 1;
+        }
+        // Tenant rows (and with them the cache layer) exist for tenant
+        // sources only.
+        if let Some(t) = tenant {
+            t.ok += 1;
+            t.bytes += r.len as u64;
+            t.latency.record(lat);
+            if t.slo_ns == 0 || lat <= t.slo_ns {
+                t.slo_met += 1;
+            }
+            if r.op.kind == StoreOpKind::Get {
+                if r.cache_hit {
+                    self.tally.cache_hits += 1;
+                    t.cache_hits += 1;
                 } else {
-                    self.put_ok += 1;
+                    self.tally.cache_misses += 1;
+                    t.cache_misses += 1;
                 }
-                if r.is_hedge {
-                    self.hedge_wins += 1;
+            }
+        }
+        self.push_record(r.arrival, true, lat);
+    }
+
+    /// Cache-layer effects of a *successful* response: writes commit
+    /// (version bump + cache invalidation everywhere), reads feed the
+    /// serving node's cache. Runs regardless of the measurement window —
+    /// cache and version state must never depend on when we happen to
+    /// measure.
+    fn commit_effects(&mut self, ctx: &mut Ctx<'_>, r: &InFlight) {
+        let Some(cache) = &mut self.cache else {
+            return;
+        };
+        let object = r.object();
+        match r.op.kind {
+            StoreOpKind::Put
+            | StoreOpKind::Insert
+            | StoreOpKind::ReadModifyWrite
+            | StoreOpKind::Delete => {
+                let v = cache.version(object) + 1;
+                cache.committed.insert(object, v);
+                let dropped: u64 = cache
+                    .nodes
+                    .iter_mut()
+                    .map(|c| u64::from(c.invalidate(object)))
+                    .sum();
+                if dropped > 0 {
+                    ctx.world()
+                        .obs
+                        .count(self.labels.cat, "cache.invalidated", dropped);
                 }
-                self.push_record(r.arrival, true, lat);
+            }
+            StoreOpKind::Get => {
+                if !r.cache_hit && cache.version(object) == r.decision_version {
+                    // The flash bytes are still current: offer them.
+                    cache.nodes[r.node].admit(object, r.len as u64, r.decision_version, false);
+                }
+            }
+            StoreOpKind::Scan { keys } => {
+                // Scan traffic is offered too — AdmitAll lets it flush
+                // the hot set (the pollution ablation), ScanResistant
+                // refuses it wholesale.
+                let value = self.traffic.source.tenants()[r.tenant].value_bytes as u64;
+                for key in
+                    (r.op.key..r.op.key.saturating_add(keys)).take_while(|&k| k < 1 << KEY_BITS)
+                {
+                    let obj = object_id(r.tenant, key);
+                    let cur = cache.version(obj);
+                    cache.nodes[r.node].admit(obj, value, cur, true);
+                }
             }
         }
     }
@@ -1186,7 +1367,7 @@ impl ClusterDriver {
                 if self.node_serve_marks[node] {
                     if self.health.state(node) == NodeState::Healthy {
                         ctx.world().stats.counter("cluster.nodes_degraded").add(1);
-                        self.degraded_marks += 1;
+                        self.tally.degraded_marks += 1;
                     }
                     self.health.on_contained_burst(node);
                 }
@@ -1200,14 +1381,14 @@ impl ClusterDriver {
             match t {
                 SlowTransition::Slowed(node) => {
                     ctx.world().stats.counter("cluster.node_slow").add(1);
-                    self.slow_evictions += 1;
+                    self.tally.slow_evictions += 1;
                     if self.slow_detected_at.is_none() && node == self.fault_node {
                         self.slow_detected_at = Some(ctx.now());
                     }
                 }
                 SlowTransition::Readmitted(_) => {
                     ctx.world().stats.counter("cluster.node_readmitted").add(1);
-                    self.slow_readmissions += 1;
+                    self.tally.slow_readmissions += 1;
                 }
             }
         }
@@ -1217,13 +1398,13 @@ impl ClusterDriver {
             let oneway = self
                 .switch
                 .control_oneway_ns(node, self.cfg.health.probe_bytes);
-            ctx.send_self_in(oneway, ProbeDelivered { node, seq });
+            ctx.send_self_in(oneway, Event::ProbeDelivered { node, seq });
             ctx.send_self_in(
                 self.cfg.health.probe_timeout_ns,
-                ProbeDeadline { node, seq },
+                Event::ProbeDeadline { node, seq },
             );
         }
-        ctx.send_self_in(self.cfg.health.probe_period_ns, ProbeTick);
+        ctx.send_self_in(self.cfg.health.probe_period_ns, Event::ProbeTick);
     }
 
     fn on_probe_delivered(&mut self, ctx: &mut Ctx<'_>, node: usize, seq: u64) {
@@ -1237,7 +1418,7 @@ impl ClusterDriver {
         let oneway = self
             .switch
             .control_oneway_ns(node, self.cfg.health.probe_bytes);
-        ctx.send_self_in(oneway, ProbeAck { node, seq });
+        ctx.send_self_in(oneway, Event::ProbeAck { node, seq });
     }
 
     fn on_probe_ack(&mut self, ctx: &mut Ctx<'_>, node: usize, seq: u64) {
@@ -1267,6 +1448,15 @@ impl ClusterDriver {
             self.detected_at = Some(ctx.now());
         }
         ctx.world().stats.counter("cluster.node_dead").add(1);
+        self.evacuate(ctx, node);
+        self.start_repair(ctx, node);
+    }
+
+    /// Takes every request off `node`: its in-flight legs fail over (or
+    /// count lost), whatever it held for a hang is dropped, and its
+    /// admission queue re-routes (the caller has already made the node
+    /// unroutable, unless the health layer is off).
+    fn evacuate(&mut self, ctx: &mut Ctx<'_>, node: usize) {
         let swept: Vec<u64> = self
             .inflight
             .iter()
@@ -1279,23 +1469,19 @@ impl ClusterDriver {
         self.held_jobs[node].clear();
         self.held_responses[node].clear();
         self.held_probes[node].clear();
-        // Its admission queue re-routes to survivors (the mask now
-        // excludes this node).
-        let parked: Vec<Pending> = self.queues[node].drain(..).collect();
-        for pend in parked {
+        for (_, pend) in self.queues[node].drain() {
             self.route_and_admit(ctx, pend);
         }
-        self.start_repair(ctx, node);
     }
 
-    /// Releases one in-flight leg of a dead node and re-dispatches or
-    /// resolves the request it carried.
+    /// Releases one in-flight leg of a failed node and re-dispatches or
+    /// resolves the request it carried. Only the health layer retries;
+    /// without it the request is lost.
     fn fail_over(&mut self, ctx: &mut Ctx<'_>, req: u64) {
         let Some(r) = self.inflight.remove(&req) else {
             return;
         };
-        self.outstanding[r.node] -= 1;
-        self.free_slots[r.node].push(r.slot);
+        self.free_leg(&r);
         self.job_to_req.retain(|_, v| *v != req);
         if r.orphaned {
             return;
@@ -1307,21 +1493,21 @@ impl ClusterDriver {
                 return;
             }
         }
-        if r.retries_left > 0 {
+        if self.cfg.health.enabled && r.retries_left > 0 {
             if self.tally_active() {
-                self.retried += 1;
+                self.tally.retried += 1;
             }
             ctx.world().stats.counter("cluster.retried").add(1);
             let pend = Pending {
-                object: r.object,
+                tenant: r.tenant,
+                op: r.op,
                 len: r.len,
-                is_get: r.is_get,
                 arrival: r.arrival,
                 retries_left: r.retries_left - 1,
             };
             self.route_and_admit(ctx, pend);
         } else {
-            self.note_denied(r.is_get, Some(r.node), r.arrival, true);
+            self.note_denied(r.tenant, r.is_write(), Some(r.node), r.arrival, true);
         }
     }
 
@@ -1329,11 +1515,15 @@ impl ClusterDriver {
         match self.cfg.node_faults[idx] {
             NodeFault::Crash { node, .. } => {
                 self.crashed[node] = true;
+                // The node's DRAM, and with it its read cache, is gone.
+                if let Some(cache) = &mut self.cache {
+                    cache.nodes[node].clear();
+                }
                 ctx.world().stats.counter("cluster.node_crash").add(1);
             }
             NodeFault::Hang { node, for_ns, .. } => {
                 self.hung_until[node] = Some(ctx.now() + for_ns);
-                ctx.send_self_in(for_ns, HangOver { node });
+                ctx.send_self_in(for_ns, Event::HangOver { node });
                 ctx.world().stats.counter("cluster.node_hang").add(1);
             }
             NodeFault::FailSlow {
@@ -1343,7 +1533,7 @@ impl ClusterDriver {
                 ..
             } => {
                 self.fail_slow[node] = Some(factor);
-                ctx.send_self_in(for_ns, FailSlowOver { node });
+                ctx.send_self_in(for_ns, Event::FailSlowOver { node });
                 ctx.world().stats.counter("cluster.node_fail_slow").add(1);
             }
             NodeFault::LinkDegrade {
@@ -1354,7 +1544,7 @@ impl ClusterDriver {
             } => {
                 self.switch
                     .set_node_speed_factor(node, speed_pct as f64 / 100.0);
-                ctx.send_self_in(for_ns, LinkRestore { node });
+                ctx.send_self_in(for_ns, Event::LinkRestore { node });
                 ctx.world().stats.counter("cluster.link_degraded").add(1);
             }
         }
@@ -1383,7 +1573,7 @@ impl ClusterDriver {
             .switch
             .control_oneway_ns(node, self.cfg.health.probe_bytes);
         for seq in probes {
-            ctx.send_self_in(oneway, ProbeAck { node, seq });
+            ctx.send_self_in(oneway, Event::ProbeAck { node, seq });
         }
         let counter = match kind {
             ResumeKind::Revived => "cluster.node_revived",
@@ -1405,9 +1595,8 @@ impl ClusterDriver {
             return;
         }
         self.repair_started[node] = true;
-        let object_bytes = self.cfg.sizes.mean_estimate().ceil() as u64;
         let mut transfers: BTreeMap<(usize, usize), u64> = BTreeMap::new();
-        for object in 0..self.cfg.objects {
+        for (object, bytes) in self.traffic.objects(&self.cfg) {
             let replicas = self.ring.replicas(object);
             if !replicas.contains(&node) {
                 continue;
@@ -1420,83 +1609,107 @@ impl ClusterDriver {
             let Some(&dst) = pref.iter().find(|&&n| !replicas.contains(&n) && alive(n)) else {
                 continue; // no surviving successor to hold the new copy
             };
-            *transfers.entry((src, dst)).or_insert(0) += object_bytes;
+            *transfers.entry((src, dst)).or_insert(0) += bytes;
         }
         if transfers.is_empty() {
             return;
         }
-        let was_active = self.repair_active;
-        for ((src, dst), bytes) in transfers {
-            self.repair_queue.push_back((src, dst, bytes));
-        }
-        self.repair_active = true;
-        if self.repair_start_at.is_none() {
-            self.repair_start_at = Some(ctx.now());
-        }
+        self.repair.start_at.get_or_insert(ctx.now());
+        let transfers = transfers.into_iter().map(|((src, dst), b)| (src, dst, b));
+        self.enqueue(ctx, Bulk::Repair, transfers);
+    }
+
+    /// Queues transfers on a bulk stream, starting its pacing if it was
+    /// idle.
+    fn enqueue(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        bulk: Bulk,
+        transfers: impl Iterator<Item = (usize, usize, u64)>,
+    ) {
+        let stream = self.stream(bulk);
+        let was_active = stream.active;
+        stream.queue.extend(transfers);
+        stream.active = true;
         if !was_active {
-            ctx.send_now(ctx.self_id(), RepairChunk);
+            ctx.send_now(ctx.self_id(), Event::BulkChunk(bulk));
         }
     }
 
-    fn on_repair_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&(src, dst, remaining)) = self.repair_queue.front() else {
+    fn stream(&mut self, bulk: Bulk) -> &mut BulkStream {
+        match bulk {
+            Bulk::Repair => &mut self.repair,
+            Bulk::Rejoin => &mut self.rejoin,
+        }
+    }
+
+    /// Ships a bulk stream's next chunk over the switch, then paces the
+    /// one after: the ports may drain a chunk faster, but the stream never
+    /// offers more than its configured rate on average.
+    fn on_bulk_chunk(&mut self, ctx: &mut Ctx<'_>, bulk: Bulk) {
+        let h = &self.cfg.health;
+        let (max_chunk, gbps) = match bulk {
+            Bulk::Repair => (h.repair_chunk_bytes as u64, h.repair_gbps),
+            Bulk::Rejoin => (h.repair_chunk_bytes as u64, h.rejoin_gbps),
+        };
+        let stream = match bulk {
+            Bulk::Repair => &mut self.repair,
+            Bulk::Rejoin => &mut self.rejoin,
+        };
+        let Some(&(src, dst, remaining)) = stream.queue.front() else {
             return;
         };
-        let chunk = remaining.min(self.cfg.health.repair_chunk_bytes as u64);
+        let chunk = remaining.min(max_chunk);
         let delivered = self
             .switch
             .node_to_node(ctx.now(), src, dst, chunk as usize);
-        self.repair_last_delivery = self.repair_last_delivery.max(delivered);
-        self.repair_bytes_sent += chunk;
+        stream.last_delivery = stream.last_delivery.max(delivered);
+        stream.bytes_sent += chunk;
         if remaining > chunk {
-            self.repair_queue.front_mut().expect("front still queued").2 = remaining - chunk;
+            stream.queue.front_mut().expect("front still queued").2 = remaining - chunk;
         } else {
-            self.repair_queue.pop_front();
+            stream.queue.pop_front();
         }
-        if self.repair_queue.is_empty() {
-            ctx.send_at(self.repair_last_delivery, ctx.self_id(), RepairDone);
+        if stream.queue.is_empty() {
+            ctx.send_at(stream.last_delivery, ctx.self_id(), Event::BulkDone(bulk));
         } else {
-            // The pacing cap: the ports may drain a chunk faster, but the
-            // stream never offers more than `repair_gbps` on average.
-            let pace = Bandwidth::gbps(self.cfg.health.repair_gbps)
-                .transfer_time(chunk as usize)
-                .max(1);
-            ctx.send_self_in(pace, RepairChunk);
+            let pace = Bandwidth::gbps(gbps).transfer_time(chunk as usize).max(1);
+            ctx.send_self_in(pace, Event::BulkChunk(bulk));
         }
     }
 
-    fn on_repair_done(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.repair_queue.is_empty() {
-            // A second failure queued more transfers after the finish was
-            // scheduled: keep streaming.
-            self.on_repair_chunk(ctx);
+    fn on_bulk_done(&mut self, ctx: &mut Ctx<'_>, bulk: Bulk) {
+        if !self.stream(bulk).queue.is_empty() {
+            // More transfers were queued after the finish was scheduled
+            // (a second failure): keep streaming.
+            self.on_bulk_chunk(ctx, bulk);
             return;
         }
-        self.repair_active = false;
-        self.repair_done_at = Some(ctx.now());
-        self.maybe_emit_report(ctx);
+        match bulk {
+            Bulk::Repair => {
+                self.repair.active = false;
+                self.repair.done_at = Some(ctx.now());
+                self.maybe_emit_report(ctx);
+            }
+            Bulk::Rejoin => self.finish_rejoin(ctx),
+        }
     }
 
     fn stamp_repair(&self, report: &mut ClusterReport) {
-        report.repair_bytes = self.repair_bytes_sent;
-        report.repair_ns = match (self.repair_start_at, self.repair_done_at) {
-            (Some(s), Some(d)) => Some(d - s),
-            _ => None,
-        };
-        report.rejoin_bytes = self.rejoin_bytes_sent;
-        report.rejoin_ns = match (self.rejoin_start_at, self.rejoin_done_at) {
-            (Some(s), Some(d)) => Some(d - s),
-            _ => None,
-        };
+        report.repair_bytes = self.repair.bytes_sent;
+        report.repair_ns = self.repair.elapsed();
+        report.rejoin_bytes = self.rejoin.bytes_sent;
+        report.rejoin_ns = self.rejoin.elapsed();
+        report.warmup_bytes = self.tally.warmup_bytes;
     }
 
     fn maybe_emit_report(&mut self, ctx: &mut Ctx<'_>) {
-        if self.repair_active || self.rejoin_active {
+        if self.repair.active || self.rejoin.active {
             return;
         }
         if let Some(mut report) = self.report_pending.take() {
             self.stamp_repair(&mut report);
-            ctx.world().insert(ClusterOutcome(report));
+            (self.labels.deposit)(ctx.world(), report);
         }
     }
 
@@ -1506,10 +1719,12 @@ impl ClusterDriver {
     // ------------------------------------------------------------------
 
     /// The crashed node's configured restart time arrived: it comes back
-    /// *empty*. With the health layer on it enters `Joining` (alive to
-    /// probes, unroutable) and anti-entropy repair begins; with the layer
-    /// off — the ablation — it simply starts serving again, lifecycle
-    /// unmanaged.
+    /// *empty*. Whatever it swallowed while down is gone, so its legs
+    /// fail over now — a node that restarts before the detector declared
+    /// it Dead would otherwise strand them. With the health layer on it
+    /// enters `Joining` (alive to probes, unroutable) and anti-entropy
+    /// repair begins; with the layer off — the ablation — its legs count
+    /// lost and it simply starts serving again, lifecycle unmanaged.
     fn on_restart(&mut self, ctx: &mut Ctx<'_>, node: usize) {
         assert!(self.crashed[node], "restart of a node that never crashed");
         self.crashed[node] = false;
@@ -1517,88 +1732,87 @@ impl ClusterDriver {
         // again from scratch.
         self.repair_started[node] = false;
         ctx.world().stats.counter("cluster.node_restart").add(1);
-        if !self.cfg.health.enabled {
-            return;
+        if self.cfg.health.enabled {
+            self.health.begin_join(node);
         }
-        self.health.begin_join(node);
-        self.start_rejoin(ctx, node);
+        self.evacuate(ctx, node);
+        if self.cfg.health.enabled {
+            self.start_rejoin(ctx, node);
+        }
     }
 
     /// Plans the rejoin stream: for every object replicated on `node`, a
-    /// surviving replica streams the shard back. Transfers aggregate per
-    /// source and drain as a bandwidth-capped chunk stream, exactly like
-    /// re-replication but pointed at the rejoining node.
+    /// surviving replica streams the shard back — and, with a cache
+    /// layer, every survivor streams its resident entries for those
+    /// objects at their committed versions (the cache warm-up). Transfers
+    /// aggregate per source and drain as a bandwidth-capped chunk stream,
+    /// exactly like re-replication but pointed at the rejoining node.
     fn start_rejoin(&mut self, ctx: &mut Ctx<'_>, node: usize) {
-        let object_bytes = self.cfg.sizes.mean_estimate().ceil() as u64;
+        let alive = |n: usize| {
+            n != node
+                && !self.crashed[n]
+                && !matches!(self.health.state(n), NodeState::Dead | NodeState::Joining)
+        };
         let mut transfers: BTreeMap<usize, u64> = BTreeMap::new();
-        for object in 0..self.cfg.objects {
+        for (object, bytes) in self.traffic.objects(&self.cfg) {
             let replicas = self.ring.replicas(object);
             if !replicas.contains(&node) {
                 continue;
             }
-            let alive =
-                |n: usize| self.health.state(n) != NodeState::Dead && !self.crashed[n] && n != node;
             let Some(&src) = replicas.iter().find(|&&n| alive(n)) else {
                 continue; // no surviving replica holds this shard
             };
-            *transfers.entry(src).or_insert(0) += object_bytes;
+            *transfers.entry(src).or_insert(0) += bytes;
+        }
+        if let Some(cache) = &mut self.cache {
+            // Donors in node order, each cache in insertion order, deduped
+            // by object: deterministic.
+            let mut seen = BTreeSet::new();
+            let mut warm_bytes = 0;
+            cache.warm_plan.clear();
+            for donor in (0..self.nodes.len()).filter(|&d| alive(d)) {
+                for (object, len, version) in cache.nodes[donor].warm_set() {
+                    if self.ring.replicas(object).contains(&node)
+                        && version == cache.version(object)
+                        && seen.insert(object)
+                    {
+                        *transfers.entry(donor).or_insert(0) += len;
+                        warm_bytes += len;
+                        cache.warm_plan.push((object, len, version));
+                    }
+                }
+            }
+            ctx.world()
+                .obs
+                .count(self.labels.cat, "warmup.bytes", warm_bytes);
         }
         self.rejoin_node = Some(node);
-        self.rejoin_start_at = Some(ctx.now());
+        self.rejoin.start_at = Some(ctx.now());
         if transfers.is_empty() {
             // Nothing to copy (degenerate ring): the node joins at once.
             self.finish_rejoin(ctx);
             return;
         }
-        let was_active = self.rejoin_active;
-        for (src, bytes) in transfers {
-            self.rejoin_queue.push_back((src, node, bytes));
-        }
-        self.rejoin_active = true;
-        if !was_active {
-            ctx.send_now(ctx.self_id(), RejoinChunk);
-        }
+        let transfers = transfers.into_iter().map(|(src, b)| (src, node, b));
+        self.enqueue(ctx, Bulk::Rejoin, transfers);
     }
 
-    fn on_rejoin_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(&(src, dst, remaining)) = self.rejoin_queue.front() else {
-            return;
-        };
-        let chunk = remaining.min(self.cfg.health.repair_chunk_bytes as u64);
-        let delivered = self
-            .switch
-            .node_to_node(ctx.now(), src, dst, chunk as usize);
-        self.rejoin_last_delivery = self.rejoin_last_delivery.max(delivered);
-        self.rejoin_bytes_sent += chunk;
-        if remaining > chunk {
-            self.rejoin_queue.front_mut().expect("front still queued").2 = remaining - chunk;
-        } else {
-            self.rejoin_queue.pop_front();
-        }
-        if self.rejoin_queue.is_empty() {
-            ctx.send_at(self.rejoin_last_delivery, ctx.self_id(), RejoinDone);
-        } else {
-            let pace = Bandwidth::gbps(self.cfg.health.rejoin_gbps)
-                .transfer_time(chunk as usize)
-                .max(1);
-            ctx.send_self_in(pace, RejoinChunk);
-        }
-    }
-
-    fn on_rejoin_done(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.rejoin_queue.is_empty() {
-            self.on_rejoin_chunk(ctx);
-            return;
-        }
-        self.finish_rejoin(ctx);
-    }
-
-    /// Anti-entropy complete: the node leaves `Joining` through the
-    /// unified resume path and becomes routable again.
+    /// Anti-entropy complete: the warm-up entries still at their committed
+    /// version land in the node's cache (writes during the stream
+    /// invalidate by simply not being admitted), and the node leaves
+    /// `Joining` through the unified resume path, routable again.
     fn finish_rejoin(&mut self, ctx: &mut Ctx<'_>) {
         let node = self.rejoin_node.take().expect("a rejoin was running");
-        self.rejoin_active = false;
-        self.rejoin_done_at = Some(ctx.now());
+        self.rejoin.active = false;
+        self.rejoin.done_at = Some(ctx.now());
+        if let Some(cache) = &mut self.cache {
+            for (object, len, version) in std::mem::take(&mut cache.warm_plan) {
+                if version == cache.version(object) {
+                    self.tally.warmup_bytes += len;
+                    cache.nodes[node].admit_warm(object, len, version);
+                }
+            }
+        }
         self.health.complete_join(node);
         self.resume_node(ctx, node, ResumeKind::Rejoined);
         self.maybe_emit_report(ctx);
@@ -1682,14 +1896,19 @@ impl ClusterDriver {
             self.free_leg(&r);
             self.job_to_req.retain(|_, v| *v != req);
             if !partner_completes {
-                self.note_denied(r.is_get, Some(r.node), r.arrival, true);
+                self.note_denied(r.tenant, r.is_write(), Some(r.node), r.arrival, true);
             }
         }
         for node in 0..self.nodes.len() {
             if self.stuck(node) {
-                let parked: Vec<Pending> = self.queues[node].drain(..).collect();
-                for pend in parked {
-                    self.note_denied(pend.is_get, Some(node), pend.arrival, true);
+                for (_, pend) in self.queues[node].drain() {
+                    self.note_denied(
+                        pend.tenant,
+                        pend.op.kind.is_write(),
+                        Some(node),
+                        pend.arrival,
+                        true,
+                    );
                 }
             }
         }
@@ -1697,270 +1916,158 @@ impl ClusterDriver {
         // Parked requests on healthy nodes are abandoned: nothing was
         // submitted for them.
         for q in &mut self.queues {
-            q.clear();
+            q.drain();
         }
         let span = ctx.now() - self.measure_start;
         let stats = ctx.world_ref().get::<CpuStats>();
         for (i, node) in self.nodes.iter().enumerate() {
-            self.per_node[i].cpu_utilization = stats
+            self.tally.per_node[i].cpu_utilization = stats
                 .map(|s| s.utilization(&node.server.cpu_key, span))
                 .unwrap_or(0.0);
         }
+        let now = ctx.now().as_nanos();
         let mut report = ClusterReport {
             span_ns: span,
-            requests: self.requests,
-            bytes: self.bytes,
-            rejected: self.rejected,
-            failures: self.failures,
-            get_ok: self.get_ok,
-            get_denied: self.get_denied,
-            put_ok: self.put_ok,
-            put_denied: self.put_denied,
-            hedged: self.hedged,
-            hedge_wins: self.hedge_wins,
-            retried: self.retried,
-            lost: self.lost,
-            put_fallbacks: self.put_fallbacks,
-            degraded_marks: self.degraded_marks,
             detection_ns: self
                 .detected_at
                 .map(|t| t.as_nanos().saturating_sub(self.fault_at_abs)),
             slow_detection_ns: self
                 .slow_detected_at
                 .map(|t| t.as_nanos().saturating_sub(self.fault_at_abs)),
-            slow_evictions: self.slow_evictions,
-            slow_readmissions: self.slow_readmissions,
-            latency: self.latency.clone(),
-            per_node: self.per_node.clone(),
-            ..ClusterReport::default()
+            phases: (!self.cfg.node_faults.is_empty()).then(|| self.phases(now)),
+            ..self.tally.clone()
         };
-        if !self.cfg.node_faults.is_empty() {
-            report.phases = Some(self.phases(ctx.now().as_nanos()));
-        }
-        if self.repair_active || self.rejoin_active {
+        if self.repair.active || self.rejoin.active {
             // Repair or rejoin outlives the window: emit once the stream
             // drains so the report can carry the true time-to-repair.
             self.report_pending = Some(report);
         } else {
             self.stamp_repair(&mut report);
-            ctx.world().insert(ClusterOutcome(report));
+            (self.labels.deposit)(ctx.world(), report);
         }
     }
-}
 
-impl Component for ClusterDriver {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
-        let msg = match msg.downcast::<Start>() {
-            Ok(Start) => {
-                let gap = (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1);
-                ctx.send_self_in(gap, Arrival);
-                ctx.send_self_in(self.cfg.warmup_ns, WarmupOver);
-                ctx.send_self_in(self.cfg.duration_ns, WindowOver);
-                if let Some(d) = self.cfg.degrade {
-                    assert!(d.node < self.nodes.len(), "degraded node out of range");
-                    ctx.send_self_in(d.at_ns, DegradeNow);
+    /// Kickoff: arm every stream's first arrival, the window timers, the
+    /// configured faults, and the heartbeat.
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        for stream in 0..self.traffic.streams() {
+            let gap = self.traffic.next_gap(stream);
+            ctx.send_self_in(gap, Event::Arrival { stream });
+        }
+        ctx.send_self_in(self.cfg.warmup_ns, Event::WarmupOver);
+        ctx.send_self_in(self.cfg.duration_ns, Event::WindowOver);
+        if let Some(d) = self.cfg.degrade {
+            assert!(d.node < self.nodes.len(), "degraded node out of range");
+            ctx.send_self_in(d.at_ns, Event::DegradeNow);
+        }
+        for (idx, f) in self.cfg.node_faults.iter().enumerate() {
+            assert!(f.node() < self.nodes.len(), "faulted node out of range");
+            match *f {
+                NodeFault::Crash {
+                    node,
+                    at_ns,
+                    restart_at_ns: Some(restart),
+                } => {
+                    assert!(restart > at_ns, "restart must follow the crash");
+                    ctx.send_self_in(restart, Event::RestartAt { node });
                 }
-                for (idx, f) in self.cfg.node_faults.iter().enumerate() {
-                    assert!(f.node() < self.nodes.len(), "faulted node out of range");
-                    match *f {
-                        NodeFault::Crash {
-                            node,
-                            at_ns,
-                            restart_at_ns: Some(restart),
-                        } => {
-                            assert!(restart > at_ns, "restart must follow the crash");
-                            ctx.send_self_in(restart, RestartAt { node });
-                        }
-                        NodeFault::FailSlow { factor, .. } => {
-                            assert!(factor >= 1, "fail-slow factor must be >= 1");
-                        }
-                        NodeFault::LinkDegrade { speed_pct, .. } => {
-                            assert!(
-                                (1..=100).contains(&speed_pct),
-                                "link speed_pct must be in 1..=100"
-                            );
-                        }
-                        _ => {}
-                    }
-                    ctx.send_self_in(f.at_ns(), NodeFaultAt { idx });
+                NodeFault::FailSlow { factor, .. } => {
+                    assert!(factor >= 1, "fail-slow factor must be >= 1");
                 }
-                if let Some(first) = self
-                    .cfg
-                    .node_faults
-                    .iter()
-                    .min_by_key(|f| f.at_ns())
-                    .copied()
-                {
-                    self.fault_at_abs = ctx.now().as_nanos() + first.at_ns();
-                    self.fault_node = first.node();
-                    self.fault_end_abs = first.end_ns().map(|e| ctx.now().as_nanos() + e);
+                NodeFault::LinkDegrade { speed_pct, .. } => {
+                    assert!(
+                        (1..=100).contains(&speed_pct),
+                        "link speed_pct must be in 1..=100"
+                    );
                 }
-                if self.cfg.health.enabled {
-                    ctx.send_self_in(self.cfg.health.probe_period_ns, ProbeTick);
-                }
-                return;
+                _ => {}
             }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<Arrival>() {
-            Ok(Arrival) => {
+            ctx.send_self_in(f.at_ns(), Event::NodeFaultAt { idx });
+        }
+        if let Some(first) = self
+            .cfg
+            .node_faults
+            .iter()
+            .min_by_key(|f| f.at_ns())
+            .copied()
+        {
+            self.fault_at_abs = ctx.now().as_nanos() + first.at_ns();
+            self.fault_node = first.node();
+            self.fault_end_abs = first.end_ns().map(|e| ctx.now().as_nanos() + e);
+        }
+        if self.cfg.health.enabled {
+            ctx.send_self_in(self.cfg.health.probe_period_ns, Event::ProbeTick);
+        }
+    }
+
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, ev: Event) {
+        match ev {
+            Event::Arrival { stream } => {
                 if !self.window_closed {
-                    self.on_arrival(ctx);
-                    let gap = (self.rng.gen_exp(self.mean_interarrival_ns) as u64).max(1);
-                    ctx.send_self_in(gap, Arrival);
+                    let pend = self.traffic.next_op(stream, &self.cfg, ctx.now());
+                    self.route_and_admit(ctx, pend);
+                    let gap = self.traffic.next_gap(stream);
+                    ctx.send_self_in(gap, Event::Arrival { stream });
                 }
-                return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<WarmupOver>() {
-            Ok(WarmupOver) => {
+            Event::WarmupOver => {
                 self.measuring = true;
                 self.measure_start = ctx.now();
                 if let Some(stats) = ctx.world().get_mut::<CpuStats>() {
                     stats.reset();
                 }
-                return;
             }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<WindowOver>() {
-            Ok(WindowOver) => {
-                self.close_window(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<DegradeNow>() {
-            Ok(DegradeNow) => {
+            Event::WindowOver => self.close_window(ctx),
+            Event::DegradeNow => {
                 let d = self
                     .cfg
                     .degrade
                     .expect("DegradeNow only fires when configured");
                 self.switch.set_node_speed_factor(d.node, d.factor);
                 ctx.world().stats.counter("cluster.degraded").add(1);
-                return;
             }
+            Event::Delivered { req } => self.on_delivered(ctx, req),
+            Event::Response { req } => self.on_response(ctx, req),
+            Event::ProbeTick => self.on_probe_tick(ctx),
+            Event::ProbeDelivered { node, seq } => self.on_probe_delivered(ctx, node, seq),
+            Event::ProbeAck { node, seq } => self.on_probe_ack(ctx, node, seq),
+            Event::ProbeDeadline { node, seq } => self.on_probe_deadline(ctx, node, seq),
+            Event::NodeFaultAt { idx } => self.on_node_fault(ctx, idx),
+            Event::HangOver { node } => self.resume_node(ctx, node, ResumeKind::Revived),
+            Event::FailSlowOver { node } => self.fail_slow[node] = None,
+            Event::LinkRestore { node } => self.switch.set_node_speed_factor(node, 1.0),
+            Event::RestartAt { node } => self.on_restart(ctx, node),
+            Event::HedgeFire { req } => self.on_hedge_fire(ctx, req),
+            Event::BulkChunk(bulk) => self.on_bulk_chunk(ctx, bulk),
+            Event::BulkDone(bulk) => self.on_bulk_done(ctx, bulk),
+        }
+    }
+}
+
+impl Component for ClusterDriver {
+    fn handle(&mut self, ctx: &mut Ctx<'_>, msg: Msg) {
+        let msg = match msg.downcast::<Event>() {
+            Ok(ev) => return self.on_event(ctx, ev),
             Err(m) => m,
         };
-        let msg = match msg.downcast::<Delivered>() {
-            Ok(Delivered { req }) => {
-                self.on_delivered(ctx, req);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<Response>() {
-            Ok(Response { req }) => {
-                self.on_response(ctx, req);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<ProbeTick>() {
-            Ok(ProbeTick) => {
-                self.on_probe_tick(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<ProbeDelivered>() {
-            Ok(ProbeDelivered { node, seq }) => {
-                self.on_probe_delivered(ctx, node, seq);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<ProbeAck>() {
-            Ok(ProbeAck { node, seq }) => {
-                self.on_probe_ack(ctx, node, seq);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<ProbeDeadline>() {
-            Ok(ProbeDeadline { node, seq }) => {
-                self.on_probe_deadline(ctx, node, seq);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<NodeFaultAt>() {
-            Ok(NodeFaultAt { idx }) => {
-                self.on_node_fault(ctx, idx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<HangOver>() {
-            Ok(HangOver { node }) => {
-                self.resume_node(ctx, node, ResumeKind::Revived);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<FailSlowOver>() {
-            Ok(FailSlowOver { node }) => {
-                self.fail_slow[node] = None;
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<LinkRestore>() {
-            Ok(LinkRestore { node }) => {
-                self.switch.set_node_speed_factor(node, 1.0);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RestartAt>() {
-            Ok(RestartAt { node }) => {
-                self.on_restart(ctx, node);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RejoinChunk>() {
-            Ok(RejoinChunk) => {
-                self.on_rejoin_chunk(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RejoinDone>() {
-            Ok(RejoinDone) => {
-                self.on_rejoin_done(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<HedgeFire>() {
-            Ok(HedgeFire { req }) => {
-                self.on_hedge_fire(ctx, req);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RepairChunk>() {
-            Ok(RepairChunk) => {
-                self.on_repair_chunk(ctx);
-                return;
-            }
-            Err(m) => m,
-        };
-        let msg = match msg.downcast::<RepairDone>() {
-            Ok(RepairDone) => {
-                self.on_repair_done(ctx);
-                return;
-            }
+        let msg = match msg.downcast::<D2dDone>() {
+            Ok(done) => return self.on_job_done(ctx, done),
             Err(m) => m,
         };
         let msg = match msg.downcast::<CpuJobDone>() {
             Ok(_) => return, // application-charge completion: nothing to do
             Err(m) => m,
         };
-        match msg.downcast::<D2dDone>() {
-            Ok(done) => self.on_job_done(ctx, done),
+        let msg = match msg.downcast::<Start>() {
+            Ok(Start) => return self.on_start(ctx),
+            Err(m) => m,
+        };
+        match msg.downcast::<Drained>() {
+            Ok(Drained) => assert!(
+                self.inflight.is_empty() && self.job_to_req.is_empty(),
+                "{} request legs outlived the drain",
+                self.inflight.len()
+            ),
             Err(other) => panic!("ClusterDriver received unexpected message: {other:?}"),
         }
     }

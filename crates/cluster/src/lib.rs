@@ -11,7 +11,8 @@
 //!
 //! In front of the rack sits a [`ClusterDriver`]: an open-loop traffic
 //! generator scaling the Swift-style GET/PUT mix to the cluster's offered
-//! load, a consistent-hash object shard map with R-way replication
+//! load (or, for the `dcs-store` serving layer, per-tenant YCSB streams —
+//! see [`OpSource`]), a consistent-hash object shard map with R-way replication
 //! ([`HashRing`]), a pluggable load balancer ([`LbPolicy`]: round-robin,
 //! least-outstanding, join-shortest-queue over a GET's replica set), and
 //! per-node admission control (bounded outstanding + bounded queue, then
@@ -45,26 +46,32 @@
 //! assert!(report.requests > 0);
 //! ```
 
+pub mod cache;
 pub mod driver;
 pub mod health;
 pub mod policy;
+pub mod qos;
 pub mod report;
 pub mod shard;
+pub mod source;
 pub mod switch;
 
+pub use cache::{Admission, CacheConfig, ReadCache};
 pub use driver::{ClusterConfig, ClusterDriver, ClusterNode, ClusterOutcome, Degrade, NodeFault};
 pub use health::{
     BreakerState, HealthConfig, HealthMonitor, NodeState, SlowTransition, Transition,
 };
 pub use policy::{LbPolicy, NodeLoad};
+pub use qos::{FairQueue, QosPolicy, QosQueue};
 pub use report::{ClusterReport, NodePerf, PhasePerf, TenantPerf};
 pub use shard::HashRing;
+pub use source::{object_id, Labels, OpSource, TenantSpec, RACK};
 pub use switch::{Lane, SwitchConfig, TorSwitch};
 
 use dcs_sim::{ComponentId, FaultPlan, Simulator};
 use dcs_workloads::build_testbed_nodes;
 
-/// A built (but not yet run) cluster.
+/// A built (but not yet run) cluster or store.
 pub struct Cluster {
     /// The simulator holding every node and the front end.
     pub sim: Simulator,
@@ -72,27 +79,57 @@ pub struct Cluster {
     pub frontend: ComponentId,
     /// The nodes, indexed consistently with the shard map and report.
     pub nodes: Vec<ClusterNode>,
+    /// The configuration's labels (they say where the report lands).
+    labels: &'static Labels,
 }
 
-/// Builds the cluster: N server/access node pairs (named `n{i}` /
-/// `n{i}-fe`, which keys their CPU-stats pools), the optional fault plan,
-/// and the started front end. Device bring-up is settled before traffic
-/// begins.
+impl Cluster {
+    /// Runs the simulation to completion and returns the measured report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation fails to drain, a request leg outlives
+    /// the drain (it would vanish from the availability accounting), or
+    /// no report was produced.
+    pub fn run(mut self) -> ClusterReport {
+        self.sim.run();
+        self.sim.kickoff(self.frontend, driver::Drained);
+        self.sim.run();
+        assert!(self.sim.is_idle(), "simulation must drain");
+        (self.labels.take)(self.sim.world_mut())
+            .expect("the front end leaves a report in the world")
+    }
+}
+
+/// Builds the rack: the Swift GET/PUT mix over `cfg` (see
+/// [`build_front_end`]).
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nodes` is zero.
 pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
+    build_front_end(cfg, OpSource::Swift, &RACK)
+}
+
+/// Builds N server/access node pairs (named after `labels`), the optional
+/// fault plan, and the started front end offering `source`'s traffic.
+/// Device bring-up is settled before traffic begins.
+///
+/// # Panics
+///
+/// Panics if `cfg.nodes` is zero, or a tenant source has no tenants.
+pub fn build_front_end(cfg: &ClusterConfig, source: OpSource, labels: &'static Labels) -> Cluster {
     assert!(cfg.nodes > 0, "a cluster needs at least one node");
     let mut sim = Simulator::new(cfg.seed);
     let mut nodes = Vec::with_capacity(cfg.nodes);
     for i in 0..cfg.nodes {
+        let name = format!("{}{i}", labels.node_prefix);
         let (server, access) = build_testbed_nodes(
             &mut sim,
             cfg.design,
             &cfg.testbed,
-            &format!("n{i}"),
-            &format!("n{i}-fe"),
+            &name,
+            &format!("{name}-fe"),
         );
         nodes.push(ClusterNode { server, access });
     }
@@ -105,18 +142,19 @@ pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
     }
     let rng = sim.world_mut().rng.fork();
     let frontend = sim.add(
-        "cluster-frontend",
-        ClusterDriver::new(cfg.clone(), nodes.clone(), rng),
+        labels.frontend,
+        ClusterDriver::new(cfg.clone(), source, labels, nodes.clone(), rng),
     );
     sim.kickoff(frontend, driver::Start);
     Cluster {
         sim,
         frontend,
         nodes,
+        labels,
     }
 }
 
-/// Builds the cluster, runs it to completion, and returns the measured
+/// Builds the rack, runs it to completion, and returns the measured
 /// report.
 ///
 /// # Panics
@@ -124,13 +162,5 @@ pub fn build_cluster(cfg: &ClusterConfig) -> Cluster {
 /// Panics if the simulation fails to drain (a stuck request) or no report
 /// was produced.
 pub fn run_cluster(cfg: &ClusterConfig) -> ClusterReport {
-    let mut cluster = build_cluster(cfg);
-    cluster.sim.run();
-    assert!(cluster.sim.is_idle(), "cluster simulation must drain");
-    cluster
-        .sim
-        .world_mut()
-        .remove::<ClusterOutcome>()
-        .expect("cluster run leaves a report in the world")
-        .0
+    build_cluster(cfg).run()
 }

@@ -26,6 +26,12 @@
 //!   tenant's p50/p99/p999 and SLO attainment land in the
 //!   [`ClusterReport`]'s per-tenant rows.
 //!
+//! The store is a configuration of the rack's own front end
+//! ([`dcs_cluster::ClusterDriver`] with an [`OpSource::Tenants`] source),
+//! so it shares the rack's health layer: a crashed node is found by
+//! heartbeats, its in-flight requests fail over, and a restarted node
+//! rejoins through anti-entropy repair plus a versioned cache warm-up.
+//!
 //! ```
 //! use dcs_store::{run_store, StoreConfig, TenantSpec};
 //! use dcs_store::cache::{Admission, CacheConfig};
@@ -42,64 +48,145 @@
 //! assert_eq!(report.stale_served, 0);
 //! ```
 
-pub mod api;
-pub mod cache;
-pub mod driver;
-pub mod qos;
+pub use dcs_cluster::{cache, qos};
+pub use dcs_cluster::{
+    object_id, Admission, CacheConfig, FairQueue, QosPolicy, QosQueue, ReadCache, TenantSpec,
+};
 
-pub use api::{object_id, Crash, StoreConfig, TenantSpec};
-pub use cache::{Admission, CacheConfig, ReadCache};
-pub use driver::{StoreDriver, StoreOutcome};
-pub use qos::{FairQueue, QosPolicy, QosQueue};
-
-use dcs_cluster::{ClusterNode, ClusterReport};
-use dcs_sim::{ComponentId, Simulator};
-use dcs_workloads::build_testbed_nodes;
+use dcs_cluster::{Cluster, ClusterConfig, ClusterReport, HealthConfig, Labels, LbPolicy};
+use dcs_cluster::{NodeFault, OpSource, SwitchConfig};
+use dcs_workloads::ycsb::YcsbWorkload;
+use dcs_workloads::{DesignUnderTest, TestbedConfig};
 
 /// A built (but not yet run) store.
-pub struct Store {
-    /// The simulator holding every node and the front end.
-    pub sim: Simulator,
-    /// The front-end driver component.
-    pub frontend: ComponentId,
-    /// The nodes, indexed consistently with the shard map and report.
-    pub nodes: Vec<ClusterNode>,
+pub type Store = Cluster;
+
+/// The finished store report, left in the world when the window closes
+/// (or, if a node's repair or rejoin outlives the window, when it ends).
+#[derive(Debug)]
+pub struct StoreOutcome(pub ClusterReport);
+
+/// The store's names: nodes `s{i}` / `s{i}-fe`, `store`-category spans and
+/// metrics, `store-*` job tags, and a [`StoreOutcome`] report.
+const STORE: Labels = Labels {
+    cat: "store",
+    node_prefix: "s",
+    frontend: "store-frontend",
+    read: "store-read",
+    read_hit: "store-read-hit",
+    write: "store-write",
+    app_read: "store-app-read",
+    app_write: "store-app-write",
+    deposit: |world, report| {
+        world.insert(StoreOutcome(report));
+    },
+    take: |world| world.remove::<StoreOutcome>().map(|o| o.0),
+};
+
+/// Full description of a store experiment.
+#[derive(Clone, Debug)]
+pub struct StoreConfig {
+    /// Number of store nodes.
+    pub nodes: usize,
+    /// Design each node runs (the HDC Engine, or a software baseline).
+    pub design: DesignUnderTest,
+    /// Load-balancing policy for reads without cache affinity.
+    pub policy: LbPolicy,
+    /// Replica count per object.
+    pub replication: usize,
+    /// Virtual nodes per physical node on the hash ring.
+    pub vnodes_per_node: usize,
+    /// The tenants sharing the store.
+    pub tenants: Vec<TenantSpec>,
+    /// Per-node read-cache provisioning.
+    pub cache: CacheConfig,
+    /// Admission-queue ordering on contended nodes.
+    pub qos: QosPolicy,
+    /// Total run length.
+    pub duration_ns: u64,
+    /// Warm-up trimmed from measurements.
+    pub warmup_ns: u64,
+    /// Per-node concurrent request limit (admission control).
+    pub max_outstanding: usize,
+    /// Per-tenant admission-queue bound per node (FIFO shares
+    /// `queue_cap × tenants`; WFQ gives each tenant its own `queue_cap`).
+    pub queue_cap: usize,
+    /// Top-of-rack switch provisioning.
+    pub switch: SwitchConfig,
+    /// Per-node testbed parameters (SSD count, node wire).
+    pub testbed: TestbedConfig,
+    /// Simulation seed (drives every tenant's arrivals and key draws).
+    pub seed: u64,
+    /// Whole-node failures to inject. The health layer detects them by
+    /// heartbeat, fails in-flight requests over (one retry each), and
+    /// runs a restarted node's rejoin, cache warm-up included.
+    pub node_faults: Vec<NodeFault>,
 }
 
-/// Builds the store: N server/access node pairs (named `s{i}` / `s{i}-fe`,
-/// which keys their CPU-stats pools) and the started front end. Device
-/// bring-up is settled before traffic begins.
+impl Default for StoreConfig {
+    fn default() -> Self {
+        StoreConfig {
+            nodes: 4,
+            design: DesignUnderTest::DcsCtrl,
+            policy: LbPolicy::JoinShortestQueue,
+            replication: 2,
+            vnodes_per_node: 256,
+            tenants: vec![TenantSpec::new("default", YcsbWorkload::C)],
+            cache: CacheConfig::default(),
+            qos: QosPolicy::Wfq,
+            duration_ns: dcs_sim::time::ms(30),
+            warmup_ns: dcs_sim::time::ms(5),
+            max_outstanding: 48,
+            queue_cap: 64,
+            switch: SwitchConfig::default(),
+            testbed: TestbedConfig::default(),
+            seed: 0x570E,
+            node_faults: vec![],
+        }
+    }
+}
+
+/// Builds the store: `cfg` lowered onto the shared front end with a
+/// tenant op source (nodes `s{i}` / `s{i}-fe`). Device bring-up is
+/// settled before traffic begins.
 ///
 /// # Panics
 ///
 /// Panics if `cfg.nodes` is zero or `cfg.tenants` is empty.
 pub fn build_store(cfg: &StoreConfig) -> Store {
-    assert!(cfg.nodes > 0, "a store needs at least one node");
-    let mut sim = Simulator::new(cfg.seed);
-    let mut nodes = Vec::with_capacity(cfg.nodes);
-    for i in 0..cfg.nodes {
-        let (server, access) = build_testbed_nodes(
-            &mut sim,
-            cfg.design,
-            &cfg.testbed,
-            &format!("s{i}"),
-            &format!("s{i}-fe"),
-        );
-        nodes.push(ClusterNode { server, access });
-    }
-    // Settle bring-up (queue attach, ring config) before traffic starts.
-    sim.run();
-    let rng = sim.world_mut().rng.fork();
-    let frontend = sim.add(
-        "store-frontend",
-        StoreDriver::new(cfg.clone(), nodes.clone(), rng),
-    );
-    sim.kickoff(frontend, driver::Start);
-    Store {
-        sim,
-        frontend,
-        nodes,
-    }
+    // The store serves with the full health layer, minus hedging, and
+    // retries a failed-over request once.
+    let health = HealthConfig {
+        hedge: false,
+        request_retries: 1,
+        ..HealthConfig::default()
+    };
+    let rack = ClusterConfig {
+        nodes: cfg.nodes,
+        design: cfg.design,
+        policy: cfg.policy,
+        replication: cfg.replication,
+        vnodes_per_node: cfg.vnodes_per_node,
+        duration_ns: cfg.duration_ns,
+        warmup_ns: cfg.warmup_ns,
+        max_outstanding: cfg.max_outstanding,
+        queue_cap: cfg.queue_cap,
+        switch: cfg.switch.clone(),
+        testbed: cfg.testbed.clone(),
+        seed: cfg.seed,
+        node_faults: cfg.node_faults.clone(),
+        health,
+        ..ClusterConfig::default()
+    };
+    dcs_cluster::build_front_end(
+        &rack,
+        OpSource::Tenants {
+            tenants: cfg.tenants.clone(),
+            cache: cfg.cache,
+            qos: cfg.qos,
+        },
+        &STORE,
+    )
 }
 
 /// Builds the store, runs it to completion, and returns the measured
@@ -109,15 +196,7 @@ pub fn build_store(cfg: &StoreConfig) -> Store {
 ///
 /// Panics if the simulation fails to drain or no report was produced.
 pub fn run_store(cfg: &StoreConfig) -> ClusterReport {
-    let mut store = build_store(cfg);
-    store.sim.run();
-    assert!(store.sim.is_idle(), "store simulation must drain");
-    store
-        .sim
-        .world_mut()
-        .remove::<StoreOutcome>()
-        .expect("store run leaves a report in the world")
-        .0
+    build_store(cfg).run()
 }
 
 #[cfg(test)]

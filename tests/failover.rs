@@ -16,7 +16,7 @@ use dcs_ctrl::cluster::{run_cluster, ClusterConfig, HealthConfig, LbPolicy, Node
 use dcs_ctrl::sim::time;
 use dcs_ctrl::store::cache::{Admission, CacheConfig};
 use dcs_ctrl::store::qos::QosPolicy;
-use dcs_ctrl::store::{run_store, Crash, StoreConfig, TenantSpec};
+use dcs_ctrl::store::{run_store, StoreConfig, TenantSpec};
 use dcs_ctrl::workloads::gen::SizeDistribution;
 use dcs_ctrl::workloads::ycsb::YcsbWorkload;
 
@@ -314,10 +314,35 @@ fn crashed_node_rejoins_repairs_and_serves_again() {
     );
 }
 
+#[test]
+fn restart_before_dead_resolves_the_swallowed_requests() {
+    // The node restarts 3 ms after crashing, before the probes can
+    // declare it Dead: nothing but the restart resolves the requests it
+    // swallowed while it was down. (`run_cluster` itself asserts that no
+    // request leg outlives the drain.)
+    let (crash, restart) = (time::ms(8), time::ms(11));
+    assert!(restart - crash < HealthConfig::default().detection_bound_ns());
+    let r = run_cluster(&ClusterConfig {
+        node_faults: vec![NodeFault::Crash {
+            node: 1,
+            at_ns: crash,
+            restart_at_ns: Some(restart),
+        }],
+        ..failover_cfg()
+    });
+    assert_eq!(r.detection_ns, None, "the node restarted before Dead");
+    assert!(
+        r.retried + r.lost > 0,
+        "the swallowed requests must be failed over or counted lost"
+    );
+    assert!(r.rejoin_ns.is_some(), "the node rejoins after the restart");
+}
+
 /// An update-heavy cached store with a mid-run node crash. Every PUT
 /// commit bumps the object's version and invalidates every node's cache
-/// entry; a crash additionally discards the dead node's cache wholesale
-/// and fails its in-flight requests over to surviving replicas.
+/// entry; a crash additionally discards the dead node's cache wholesale.
+/// The front end learns of the crash only through missed heartbeats, and
+/// then fails its in-flight requests over to surviving replicas.
 fn crashed_store_cfg() -> StoreConfig {
     let mut t = TenantSpec::new("ab", YcsbWorkload::A);
     t.keys = 256;
@@ -331,11 +356,11 @@ fn crashed_store_cfg() -> StoreConfig {
         },
         duration_ns: time::ms(12),
         warmup_ns: time::ms(2),
-        crash: Some(Crash {
+        node_faults: vec![NodeFault::Crash {
             node: 1,
             at_ns: time::ms(5),
             restart_at_ns: None,
-        }),
+        }],
         ..StoreConfig::default()
     }
 }
@@ -343,6 +368,11 @@ fn crashed_store_cfg() -> StoreConfig {
 #[test]
 fn cached_store_never_serves_stale_bytes_through_a_crash() {
     let r = run_store(&crashed_store_cfg());
+    // The crash is found by the health layer's probes, not by an oracle,
+    // and within the probe-schedule bound.
+    let detect = r.detection_ns.expect("the crash must be detected");
+    let bound = HealthConfig::default().detection_bound_ns();
+    assert!(detect <= bound, "detected in {detect} ns, bound {bound} ns");
     // The run exercised the interesting paths: writes committed, cached
     // reads hit, and the crash actually disturbed in-flight traffic.
     assert!(r.requests > 0, "{}", r.render("crash"));
@@ -372,18 +402,30 @@ fn restarted_store_node_rejoins_warm_and_serves_no_stale_bytes() {
     // empty, stream its shards *and* a cache warm-up set from survivors,
     // and the staleness tripwire must stay at zero through all of it —
     // a warm-up entry admitted at a stale version would trip it on the
-    // first version-checked GET.
-    // (Shard anti-entropy — `rejoin_bytes` — is the cluster layer's
-    // mechanism, covered above; the store layer's restart contribution
-    // is the versioned cache warm-up.)
+    // first version-checked GET. The restart (3 ms after the crash) comes
+    // before the probes can declare the node Dead, so the requests it
+    // swallowed are failed over by the restart itself.
+    let restart = time::ms(8);
+    assert!(restart - time::ms(5) < HealthConfig::default().detection_bound_ns());
     let r = run_store(&StoreConfig {
-        crash: Some(Crash {
+        node_faults: vec![NodeFault::Crash {
             node: 1,
             at_ns: time::ms(5),
-            restart_at_ns: Some(time::ms(8)),
-        }),
+            restart_at_ns: Some(restart),
+        }],
         ..crashed_store_cfg()
     });
+    assert_eq!(
+        r.detection_ns, None,
+        "restarted before it was declared Dead"
+    );
+    assert!(
+        r.retried + r.lost > 0,
+        "the restart must resolve the swallowed requests (retried {} lost {})",
+        r.retried,
+        r.lost
+    );
+    assert!(r.rejoin_ns.is_some(), "the node must finish rejoining");
     assert!(r.warmup_bytes > 0, "the cache warm-up set must stream");
     assert!(
         r.per_node[1].requests > 0,
