@@ -104,7 +104,8 @@ impl NdpBank {
     }
 
     /// Executes the function over real bytes (call at the completion
-    /// instant).
+    /// instant): `len` bytes that `visit` hands over in pieces, so a
+    /// digest hashes its buffer in place.
     ///
     /// # Errors
     ///
@@ -113,10 +114,11 @@ impl NdpBank {
     pub fn execute(
         &self,
         function: NdpFunction,
-        input: &[u8],
+        len: usize,
+        visit: impl FnOnce(&mut dyn FnMut(&[u8])),
         aux: &[u8],
     ) -> Result<NdpOutput, dcs_ndp::function::NdpError> {
-        function.apply(input, aux)
+        function.apply_pieces(len, visit, aux)
     }
 
     /// Aggregate busy time across all banks (for utilization reporting).
@@ -180,7 +182,9 @@ mod tests {
     #[test]
     fn execute_produces_real_results() {
         let bank = NdpBank::for_functions(&[NdpFunction::Md5]);
-        let out = bank.execute(NdpFunction::Md5, b"abc", &[]).unwrap();
+        let out = bank
+            .execute(NdpFunction::Md5, 3, |f| f(b"abc"), &[])
+            .unwrap();
         assert_eq!(
             dcs_ndp::to_hex(out.digest.as_ref().unwrap()),
             "900150983cd24fb0d6963f7d28e17f72"

@@ -534,3 +534,123 @@ fn engine_reports_scoreboard_overhead_in_breakdowns() {
         "driver software is thin"
     );
 }
+
+/// Payload that reaches B's engine before any receive wants it is queued
+/// per connection and handed over when the receive is posted. Each round
+/// sends 32 KiB behind a 32 KiB backlog and then receives 32 KiB from the
+/// front of the queue, so the queue's start walks around its buffer and
+/// later receives drain a queue that has wrapped (two slices). Every
+/// received span must land byte-exact and digest to its MD5.
+#[test]
+fn early_arrivals_drain_byte_exact_through_a_wrapped_queue() {
+    let mut rig = setup();
+    let flow = TcpFlow::example(1, 2, 40_010, 9010);
+    const KIB: usize = 1024;
+    let first = 40 * KIB;
+    let chunk = 32 * KIB;
+    let rounds = 6;
+    let total = first + rounds * chunk;
+    let stream: Vec<u8> = (0..total).map(|i| (i * 131 % 241) as u8).collect();
+    rig.sim
+        .world_mut()
+        .expect_mut::<PhysMemory>()
+        .write(rig.a.ssds[0].lba_addr(0), &stream);
+    let lba_of = |offset: usize| (offset / 4096) as u64;
+    let send = |id: u64, offset: usize, len: usize| D2dJob {
+        id,
+        ops: vec![
+            D2dOp::SsdRead {
+                ssd: 0,
+                lba: lba_of(offset),
+                len,
+            },
+            D2dOp::NicSend {
+                flow,
+                seq: offset as u32,
+            },
+        ],
+        reply_to: rig.app,
+        tag: "early-send",
+    };
+    // Receive `len` bytes, digest them, and persist them to B's flash at
+    // the stream offset they should hold.
+    let recv = |id: u64, offset: usize, len: usize| D2dJob {
+        id,
+        ops: vec![
+            D2dOp::NicRecv {
+                flow: flow.reversed(),
+                len,
+            },
+            D2dOp::Process {
+                function: NdpFunction::Md5,
+                aux: vec![],
+            },
+            D2dOp::SsdWrite {
+                ssd: 0,
+                lba: lba_of(offset),
+            },
+        ],
+        reply_to: rig.app,
+        tag: "early-recv",
+    };
+    // The first receive registers the connection on B and takes 8 KiB of
+    // the first 40 KiB send; the other 32 KiB arrive with nobody waiting.
+    let mut spans = vec![(0, 8 * KIB)];
+    let (to_a, to_b) = (rig.a.driver, rig.b.driver);
+    rig.sim.kickoff(
+        rig.app,
+        Submit {
+            to: to_b,
+            job: recv(100, 0, 8 * KIB),
+        },
+    );
+    rig.sim.kickoff(
+        rig.app,
+        Submit {
+            to: to_a,
+            job: send(1, 0, first),
+        },
+    );
+    rig.sim.run();
+    for k in 0..rounds {
+        let sent = first + k * chunk;
+        rig.sim.kickoff(
+            rig.app,
+            Submit {
+                to: to_a,
+                job: send(2 + k as u64, sent, chunk),
+            },
+        );
+        rig.sim.run();
+        let offset = 8 * KIB + k * chunk;
+        spans.push((offset, chunk));
+        rig.sim.kickoff(
+            rig.app,
+            Submit {
+                to: to_b,
+                job: recv(101 + k as u64, offset, chunk),
+            },
+        );
+        rig.sim.run();
+    }
+
+    let jobs = 2 * (rounds + 1) as u64;
+    assert_eq!(rig.sim.world().stats.counter_value("app.ok"), jobs);
+    let inbox = rig.sim.world().expect::<Inbox>();
+    for (k, &(offset, len)) in spans.iter().enumerate() {
+        let id = 100 + k as u64;
+        let done = inbox.0.iter().find(|d| d.id == id).expect("receive done");
+        let expected = &stream[offset..offset + len];
+        assert_eq!(
+            done.digest.as_deref(),
+            Some(&md5(expected)[..]),
+            "receive {id} digest"
+        );
+        let on_b = rig
+            .sim
+            .world()
+            .expect::<PhysMemory>()
+            .read(rig.b.ssds[0].lba_addr(lba_of(offset)), len);
+        assert!(on_b == expected, "receive {id} bytes at offset {offset}");
+    }
+}

@@ -174,11 +174,10 @@ impl Component for GpuDevice {
                     .pending
                     .remove(&token)
                     .expect("compute completion for live kernel");
-                let input = ctx
-                    .world_ref()
-                    .expect::<PhysMemory>()
-                    .read(launch.input_addr, launch.input_len);
-                let (ok, out_bytes) = match launch.function.apply(&input, &launch.aux) {
+                let (function, addr, len) = (launch.function, launch.input_addr, launch.input_len);
+                let mem = ctx.world_ref().expect::<PhysMemory>();
+                let result = function.apply_pieces(len, |f| mem.visit(addr, len, f), &launch.aux);
+                let (ok, out_bytes) = match result {
                     Ok(out) => {
                         let bytes = match (&out.digest, &out.data) {
                             (Some(d), _) => d.clone(),

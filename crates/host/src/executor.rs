@@ -681,8 +681,8 @@ impl Component for SwExecutor {
                     }
                 };
                 let _ = start;
-                let input = ctx.world_ref().expect::<PhysMemory>().read(addr, len);
-                let result = function.apply(&input, &aux);
+                let mem = ctx.world_ref().expect::<PhysMemory>();
+                let result = function.apply_pieces(len, |f| mem.visit(addr, len, f), &aux);
                 let state = self.jobs.get_mut(&id).expect("live job");
                 match result {
                     Ok(out) => {

@@ -8,11 +8,11 @@
 //! end-to-end tests can compare their outputs byte for byte.
 
 use crate::aes::Aes256;
-use crate::crc32::crc32;
+use crate::crc32::Crc32;
 use crate::deflate::{gzip_compress, gzip_decompress};
-use crate::md5::md5;
-use crate::sha1::sha1;
-use crate::sha256::sha256;
+use crate::md5::Md5;
+use crate::sha1::Sha1;
+use crate::sha256::Sha256;
 
 /// The intermediate-processing functions of Table III (plus the inverse
 /// transforms needed for receive paths).
@@ -97,10 +97,11 @@ impl NdpFunction {
     /// stream.
     pub fn apply(self, input: &[u8], aux: &[u8]) -> Result<NdpOutput, NdpError> {
         match self {
-            NdpFunction::Md5 => Ok(NdpOutput::digest(md5(input).to_vec())),
-            NdpFunction::Sha1 => Ok(NdpOutput::digest(sha1(input).to_vec())),
-            NdpFunction::Sha256 => Ok(NdpOutput::digest(sha256(input).to_vec())),
-            NdpFunction::Crc32 => Ok(NdpOutput::digest(crc32(input).to_be_bytes().to_vec())),
+            NdpFunction::Md5 | NdpFunction::Sha1 | NdpFunction::Sha256 | NdpFunction::Crc32 => {
+                let mut h = Digester::new(self).expect("a digest function");
+                h.update(input);
+                Ok(NdpOutput::digest(h.finalize()))
+            }
             NdpFunction::Aes256Encrypt | NdpFunction::Aes256Decrypt => {
                 if aux.len() != 48 {
                     return Err(NdpError::BadAux {
@@ -119,11 +120,94 @@ impl NdpFunction {
                 .map_err(|source| NdpError::Inflate { source }),
         }
     }
+
+    /// [`NdpFunction::apply`] over an input of `len` bytes that `visit`
+    /// hands over in pieces, in order (e.g. the pages of a DMA buffer,
+    /// borrowed in place). Digests hash each piece as it arrives, so the
+    /// input is never copied; transforms need it whole and gather it
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// As [`NdpFunction::apply`].
+    pub fn apply_pieces(
+        self,
+        len: usize,
+        visit: impl FnOnce(&mut dyn FnMut(&[u8])),
+        aux: &[u8],
+    ) -> Result<NdpOutput, NdpError> {
+        if let Some(mut h) = Digester::new(self) {
+            visit(&mut |piece| h.update(piece));
+            return Ok(NdpOutput::digest(h.finalize()));
+        }
+        let mut input = Vec::with_capacity(len);
+        visit(&mut |piece| input.extend_from_slice(piece));
+        self.apply(&input, aux)
+    }
 }
 
 impl std::fmt::Display for NdpFunction {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+/// Streaming form of the four digest functions: feed the input in any
+/// number of pieces (e.g. the pages of a DMA buffer, borrowed in place)
+/// and get the same digest [`NdpFunction::apply`] returns for the whole.
+///
+/// ```
+/// use dcs_ndp::function::Digester;
+/// use dcs_ndp::NdpFunction;
+/// let mut h = Digester::new(NdpFunction::Md5).expect("md5 is a digest");
+/// h.update(b"ab");
+/// h.update(b"c");
+/// assert_eq!(dcs_ndp::to_hex(&h.finalize()), "900150983cd24fb0d6963f7d28e17f72");
+/// assert!(Digester::new(NdpFunction::GzipCompress).is_none());
+/// ```
+#[derive(Clone, Debug)]
+pub enum Digester {
+    /// MD5 state.
+    Md5(Md5),
+    /// SHA-1 state.
+    Sha1(Sha1),
+    /// SHA-256 state.
+    Sha256(Sha256),
+    /// CRC-32 state.
+    Crc32(Crc32),
+}
+
+impl Digester {
+    /// A fresh hasher for `function`, or `None` for transforms.
+    pub fn new(function: NdpFunction) -> Option<Digester> {
+        match function {
+            NdpFunction::Md5 => Some(Digester::Md5(Md5::new())),
+            NdpFunction::Sha1 => Some(Digester::Sha1(Sha1::new())),
+            NdpFunction::Sha256 => Some(Digester::Sha256(Sha256::new())),
+            NdpFunction::Crc32 => Some(Digester::Crc32(Crc32::new())),
+            _ => None,
+        }
+    }
+
+    /// Absorbs the next piece of input.
+    pub fn update(&mut self, data: &[u8]) {
+        match self {
+            Digester::Md5(h) => h.update(data),
+            Digester::Sha1(h) => h.update(data),
+            Digester::Sha256(h) => h.update(data),
+            Digester::Crc32(h) => h.update(data),
+        }
+    }
+
+    /// The digest bytes (CRC-32 big-endian, as [`NdpFunction::apply`]
+    /// reports it).
+    pub fn finalize(self) -> Vec<u8> {
+        match self {
+            Digester::Md5(h) => h.finalize().to_vec(),
+            Digester::Sha1(h) => h.finalize().to_vec(),
+            Digester::Sha256(h) => h.finalize().to_vec(),
+            Digester::Crc32(h) => h.finalize().to_be_bytes().to_vec(),
+        }
     }
 }
 

@@ -36,21 +36,32 @@ struct SparseBytes {
     pages: DetMap<u64, Box<[u8; PAGE_SIZE]>>,
 }
 
+/// What an untouched page reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 impl SparseBytes {
-    fn read_into(&self, offset: u64, out: &mut [u8]) {
+    /// Calls `f` with `[offset, offset+len)` in page-bounded pieces, in
+    /// address order, borrowed in place; untouched pages yield zeros.
+    fn visit(&self, offset: u64, len: usize, mut f: impl FnMut(&[u8])) {
         let mut off = offset;
-        let mut done = 0;
-        while done < out.len() {
+        let mut left = len;
+        while left > 0 {
             let page = off >> PAGE_SHIFT;
             let in_page = (off as usize) & (PAGE_SIZE - 1);
-            let n = (PAGE_SIZE - in_page).min(out.len() - done);
-            match self.pages.get(&page) {
-                Some(p) => out[done..done + n].copy_from_slice(&p[in_page..in_page + n]),
-                None => out[done..done + n].fill(0),
-            }
+            let n = (PAGE_SIZE - in_page).min(left);
+            let bytes = self.pages.get(&page).map_or(&ZERO_PAGE, |p| &**p);
+            f(&bytes[in_page..in_page + n]);
             off += n as u64;
-            done += n;
+            left -= n;
         }
+    }
+
+    fn read_into(&self, offset: u64, out: &mut [u8]) {
+        let mut done = 0;
+        self.visit(offset, out.len(), |piece| {
+            out[done..done + piece.len()].copy_from_slice(piece);
+            done += piece.len();
+        });
     }
 
     fn write_from(&mut self, offset: u64, data: &[u8]) {
@@ -217,6 +228,19 @@ impl PhysMemory {
         r.bytes.read_into(addr - r.info.range.start, out);
     }
 
+    /// Calls `f` with the bytes of `[addr, addr+len)` in page-bounded
+    /// pieces, in address order, borrowed in place instead of copied out;
+    /// untouched memory yields zeros. The pieces concatenate to exactly
+    /// what [`PhysMemory::read`] returns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span is not fully contained in one region.
+    pub fn visit(&self, addr: PhysAddr, len: usize, f: impl FnMut(&[u8])) {
+        let r = &self.regions[self.region_index_of(addr, len)];
+        r.bytes.visit(addr - r.info.range.start, len, f);
+    }
+
     /// Writes `data` starting at `addr`.
     ///
     /// # Panics
@@ -232,12 +256,35 @@ impl PhysMemory {
     /// Copies `len` bytes from `src` to `dst` (the data movement behind a
     /// completed DMA). Source and destination may be in different regions;
     /// overlapping self-copies behave like `memmove`.
+    ///
+    /// A cross-region copy moves each byte once, page by page, straight
+    /// from the source pages into the destination. Untouched source pages
+    /// are written as zeros, so the destination materializes exactly the
+    /// pages a read-then-write would.
     pub fn copy(&mut self, src: PhysAddr, dst: PhysAddr, len: usize) {
         if len == 0 {
             return;
         }
-        let data = self.read(src, len);
-        self.write(dst, &data);
+        let si = self.region_index_of(src, len);
+        let di = self.region_index_of(dst, len);
+        if si == di {
+            // Source and destination may overlap: stage through a buffer.
+            let data = self.read(src, len);
+            self.write(dst, &data);
+            return;
+        }
+        let (from, to) = if si < di {
+            let (lo, hi) = self.regions.split_at_mut(di);
+            (&lo[si], &mut hi[0])
+        } else {
+            let (lo, hi) = self.regions.split_at_mut(si);
+            (&hi[0], &mut lo[di])
+        };
+        let mut at = dst - to.info.range.start;
+        from.bytes.visit(src - from.info.range.start, len, |piece| {
+            to.bytes.write_from(at, piece);
+            at += piece.len() as u64;
+        });
     }
 
     /// Total bytes of materialized backing store (for memory-pressure
@@ -343,6 +390,82 @@ mod tests {
         let mut m = PhysMemory::new();
         m.add_region_at("x", AddrRange::new(PhysAddr(0x1000), 0x1000), PortId::ROOT);
         m.add_region_at("y", AddrRange::new(PhysAddr(0x1800), 0x1000), PortId::ROOT);
+    }
+
+    /// Two regions on different ports; the source has its first and third
+    /// pages written and the second left untouched.
+    fn patchy_source() -> (PhysMemory, AddrRange, AddrRange) {
+        let mut m = PhysMemory::new();
+        let a = m.alloc_region("a", 1 << 20, PortId::ROOT);
+        let b = m.alloc_region("b", 1 << 20, PortId(1));
+        let first: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + 1) as u8).collect();
+        let third: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 13 + 5) as u8).collect();
+        m.write(a.start, &first);
+        m.write(a.start + 2 * PAGE_SIZE as u64, &third);
+        (m, a, b)
+    }
+
+    #[test]
+    fn cross_region_copy_matches_read_then_write() {
+        // Unaligned on both sides, spanning the untouched source page.
+        let len = 3 * PAGE_SIZE - 200;
+        let (mut direct, a, b) = patchy_source();
+        let (mut staged, _, _) = patchy_source();
+        let (src, dst) = (a.start + 100, b.start + 1000);
+        direct.copy(src, dst, len);
+        let bytes = staged.read(src, len);
+        staged.write(dst, &bytes);
+        assert_eq!(direct.read(dst, len), bytes);
+        assert_eq!(
+            direct.read(b.start, 4 * PAGE_SIZE),
+            staged.read(b.start, 4 * PAGE_SIZE)
+        );
+        assert_eq!(direct.resident_bytes(), staged.resident_bytes());
+        // The untouched source page still materializes its destination
+        // page: 2 source pages + the 4 destination pages the span touches.
+        assert_eq!(direct.resident_bytes(), 6 * PAGE_SIZE);
+        // Copying back the other way (destination region before source).
+        direct.copy(dst, a.start + 5 * PAGE_SIZE as u64, len);
+        assert_eq!(direct.read(a.start + 5 * PAGE_SIZE as u64, len), bytes);
+    }
+
+    #[test]
+    fn overlapping_same_region_copy_is_memmove() {
+        let mut m = PhysMemory::new();
+        let r = m.alloc_region("dram", 1 << 20, PortId::ROOT);
+        let data: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i % 251) as u8).collect();
+        let base = r.start + 50;
+        // Forward overlap: destination above source.
+        m.write(base, &data);
+        m.copy(base, base + 300, data.len());
+        assert_eq!(m.read(base + 300, data.len()), data);
+        assert_eq!(m.read(base, 300), data[..300]);
+        // Backward overlap: destination below source.
+        m.write(base, &data);
+        m.copy(base + 300, base, data.len() - 300);
+        assert_eq!(m.read(base, data.len() - 300), data[300..]);
+    }
+
+    #[test]
+    fn visit_yields_exactly_what_read_returns() {
+        let (m, a, _) = patchy_source();
+        for (off, len) in [
+            (0, 0),
+            (5, 10),
+            (PAGE_SIZE - 3, 7),
+            (100, 3 * PAGE_SIZE - 50),
+        ] {
+            let addr = a.start + off as u64;
+            let mut seen = Vec::new();
+            let mut pieces = 0;
+            m.visit(addr, len, |piece| {
+                assert!(!piece.is_empty() && piece.len() <= PAGE_SIZE);
+                seen.extend_from_slice(piece);
+                pieces += 1;
+            });
+            assert_eq!(seen, m.read(addr, len), "offset {off} len {len}");
+            assert_eq!(pieces, (off + len).div_ceil(PAGE_SIZE) - off / PAGE_SIZE);
+        }
     }
 
     #[test]

@@ -12,8 +12,11 @@
 //! field is a type change plus an import. Differences worth knowing:
 //!
 //! * `remove` is O(n) in the number of live entries (it preserves the
-//!   order of the survivors). Device tables here hold tens of in-flight
-//!   entries, so this is irrelevant in practice.
+//!   order of the survivors). That is cheap for tables of tens of
+//!   entries, but not for tables that hold hundreds (the NIC's per-frame
+//!   transmit map reaches hundreds of frames in flight). A table keyed by
+//!   monotonically allocated tokens iterates in insertion order as a
+//!   `BTreeMap` too, with O(log n) removes; prefer that there.
 //! * Re-inserting an existing key replaces the value but keeps the
 //!   key's original position, exactly like `HashMap`.
 //! * Iteration order is part of the contract and is tested.
