@@ -10,9 +10,10 @@
 //! Two properties matter more than raw hit rate:
 //!
 //! * **Determinism.** Recency is a monotonic stamp per entry over a
-//!   [`DetMap`], and eviction scans for the minimum stamp (ties broken by
-//!   insertion order). No wall clock, no hash-order iteration — the same
-//!   request stream always produces the same evictions.
+//!   [`BTreeMap`], and eviction scans for the minimum stamp (stamps are
+//!   unique, so there are no ties). No wall clock, no hash-order
+//!   iteration — the same request stream always produces the same
+//!   evictions.
 //! * **Scan resistance.** A YCSB-E scan touches a long run of keys
 //!   exactly once; admitting them would flush the hot head for bytes that
 //!   will never be re-read. Under [`Admission::ScanResistant`], scan
@@ -27,7 +28,7 @@
 //! `stale_served` tripwire in the cluster report counts any mismatch that
 //! would have been served.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 /// What gets admitted into the cache on a successful flash read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -74,9 +75,9 @@ pub struct ReadCache {
     admission: Admission,
     bytes: u64,
     clock: u64,
-    entries: DetMap<u64, Entry>,
+    entries: BTreeMap<u64, Entry>,
     /// Keys seen exactly once (no bytes held), stamped for LRU trimming.
-    ghost: DetMap<u64, u64>,
+    ghost: BTreeMap<u64, u64>,
     ghost_cap: usize,
     /// Entries dropped because their version no longer matched.
     pub stale_evicted: u64,
@@ -96,8 +97,8 @@ impl ReadCache {
             admission: cfg.admission,
             bytes: 0,
             clock: 0,
-            entries: DetMap::new(),
-            ghost: DetMap::new(),
+            entries: BTreeMap::new(),
+            ghost: BTreeMap::new(),
             ghost_cap,
             stale_evicted: 0,
             scan_rejected: 0,
@@ -169,8 +170,8 @@ impl ReadCache {
         self.bytes += len;
     }
 
-    /// Snapshot of the resident set, insertion-ordered: `(key, len,
-    /// version)` per entry. Feeds the warm-up transfer to a rejoining
+    /// Snapshot of the resident set in key order: `(key, len, version)`
+    /// per entry. Feeds the warm-up transfer to a rejoining
     /// node — the caller filters by ring membership and version currency.
     pub fn warm_set(&self) -> Vec<(u64, u64, u64)> {
         self.entries
@@ -230,8 +231,8 @@ impl ReadCache {
 
     /// Empties the cache (the node crashed or was drained).
     pub fn clear(&mut self) {
-        self.entries = DetMap::new();
-        self.ghost = DetMap::new();
+        self.entries.clear();
+        self.ghost.clear();
         self.bytes = 0;
     }
 

@@ -1765,8 +1765,8 @@ impl ClusterDriver {
             *transfers.entry(src).or_insert(0) += bytes;
         }
         if let Some(cache) = &mut self.cache {
-            // Donors in node order, each cache in insertion order, deduped
-            // by object: deterministic.
+            // Donors in node order, each cache in key order, deduped by
+            // object: deterministic.
             let mut seen = BTreeSet::new();
             let mut warm_bytes = 0;
             cache.warm_plan.clear();

@@ -13,7 +13,7 @@
 //! workloads and benchmarks swap designs by choosing which component they
 //! submit to.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_host::costs::KernelCosts;
 use dcs_host::cpu::{CpuJob, CpuJobDone};
@@ -78,14 +78,14 @@ pub struct HdcDriver {
     engine_aux_base: PhysAddr,
     layout: DriverLayout,
     costs: KernelCosts,
-    jobs: DetMap<u64, JobCtx>,
+    jobs: BTreeMap<u64, JobCtx>,
     /// Registered connections (flow → engine conn id).
-    conns: DetMap<TcpFlow, u16>,
+    conns: BTreeMap<TcpFlow, u16>,
     next_conn: u16,
     /// Completion ring consumer state.
     comp_head: u16,
     comp_phase: bool,
-    cpu_phases: DetMap<u64, CpuPhase>,
+    cpu_phases: BTreeMap<u64, CpuPhase>,
     next_token: u64,
     /// Rotating aux slot cursor (64-byte slots).
     aux_slot: u64,
@@ -119,12 +119,12 @@ impl HdcDriver {
             engine_aux_base,
             layout,
             costs,
-            jobs: DetMap::new(),
-            conns: DetMap::new(),
+            jobs: BTreeMap::new(),
+            conns: BTreeMap::new(),
             next_conn: 1,
             comp_head: 0,
             comp_phase: true,
-            cpu_phases: DetMap::new(),
+            cpu_phases: BTreeMap::new(),
             next_token: 1,
             aux_slot: 0,
             poll_armed: false,

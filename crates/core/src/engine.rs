@@ -24,7 +24,7 @@
 //! The engine runs *no host software*: its only CPU interaction is the
 //! driver's command write and the completion interrupt.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 
 use dcs_ndp::NdpFunction;
@@ -42,8 +42,7 @@ use dcs_pcie::{
     TlpClass,
 };
 use dcs_sim::{
-    fault, Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, DetMap, FifoServer, Msg,
-    SimTime,
+    fault, Bandwidth, Breakdown, Category, Component, ComponentId, Ctx, FifoServer, Msg, SimTime,
 };
 
 use crate::buffers::{ChunkAllocator, CHUNK_SIZE};
@@ -203,7 +202,7 @@ struct EngineNvme {
     sq: SubmissionQueueWriter,
     cq: CompletionQueueReader,
     prp_scratch: PhysAddr,
-    outstanding: DetMap<u16, NvmeOp>,
+    outstanding: BTreeMap<u16, NvmeOp>,
     next_cid: u16,
     inflight: usize,
 }
@@ -268,28 +267,28 @@ pub struct HdcEngine {
     /// Aux staging area (first MiB of DDR3, outside the allocator).
     aux_base: PhysAddr,
     scoreboard: Scoreboard,
-    contexts: DetMap<u64, CmdCtx>,
+    contexts: BTreeMap<u64, CmdCtx>,
     /// Commands awaiting scoreboard room or buffer space.
     pending_admit: VecDeque<D2dCommand>,
     ndp: NdpBank,
-    ndp_pending: DetMap<u64, (SlotRef, SimTime)>,
+    ndp_pending: BTreeMap<u64, (SlotRef, SimTime)>,
     /// In-flight host-DRAM fetches (cache-hit fast path), by token.
-    hostread_pending: DetMap<u64, (SlotRef, SimTime)>,
+    hostread_pending: BTreeMap<u64, (SlotRef, SimTime)>,
     /// Outstanding NVMe sub-commands per scoreboard entry (MDTS splits).
-    nvme_subops: DetMap<SlotRef, (usize, bool)>,
+    nvme_subops: BTreeMap<SlotRef, (usize, bool)>,
     nvme: Vec<EngineNvme>,
     nic: EngineNic,
-    connections: DetMap<u16, (TcpFlow, u32)>,
+    connections: BTreeMap<u16, (TcpFlow, u32)>,
     expectations: Vec<RecvExpectation>,
-    early: DetMap<u16, VecDeque<u8>>,
+    early: BTreeMap<u16, VecDeque<u8>>,
     /// Fault mode: sends awaiting peer acknowledgement, by scoreboard entry.
-    nic_sends: DetMap<SlotRef, EngineSend>,
+    nic_sends: BTreeMap<SlotRef, EngineSend>,
     /// Fault mode: next transmit stream offset per connection.
-    tx_offset: DetMap<u16, u64>,
+    tx_offset: BTreeMap<u16, u64>,
     /// Fault mode: highest cumulative ack received per connection.
-    snd_acked: DetMap<u16, u64>,
+    snd_acked: BTreeMap<u16, u64>,
     /// Fault mode: cumulative in-order bytes accepted per connection.
-    rcv_count: DetMap<u16, u64>,
+    rcv_count: BTreeMap<u16, u64>,
     /// A `WatchdogTick` is scheduled.
     watchdog_armed: bool,
     gather_unit: FifoServer,
@@ -298,7 +297,7 @@ pub struct HdcEngine {
     comp_tail: u16,
     comp_phase: bool,
     /// Completion-record DMA token → in-flight record (MSI follows the DMA).
-    comp_dmas: DetMap<u64, CompDma>,
+    comp_dmas: BTreeMap<u64, CompDma>,
     next_token: u64,
     /// MSI vector namespace: 0x40+i = SSD i CQ, 0x60 = NIC tx, 0x61 = NIC rx.
     started: bool,
@@ -336,7 +335,7 @@ impl HdcEngine {
                     sq: SubmissionQueueWriter::new(sq_base, 128),
                     cq: CompletionQueueReader::new(cq_base, 128),
                     prp_scratch,
-                    outstanding: DetMap::new(),
+                    outstanding: BTreeMap::new(),
                     next_cid: 0,
                     inflight: 0,
                 }
@@ -387,26 +386,26 @@ impl HdcEngine {
             bar,
             ddr,
             aux_base,
-            contexts: DetMap::new(),
+            contexts: BTreeMap::new(),
             pending_admit: VecDeque::new(),
-            ndp_pending: DetMap::new(),
-            hostread_pending: DetMap::new(),
-            nvme_subops: DetMap::new(),
+            ndp_pending: BTreeMap::new(),
+            hostread_pending: BTreeMap::new(),
+            nvme_subops: BTreeMap::new(),
             nvme,
             nic: nic_ctrl,
-            connections: DetMap::new(),
+            connections: BTreeMap::new(),
             expectations: Vec::new(),
-            early: DetMap::new(),
-            nic_sends: DetMap::new(),
-            tx_offset: DetMap::new(),
-            snd_acked: DetMap::new(),
-            rcv_count: DetMap::new(),
+            early: BTreeMap::new(),
+            nic_sends: BTreeMap::new(),
+            tx_offset: BTreeMap::new(),
+            snd_acked: BTreeMap::new(),
+            rcv_count: BTreeMap::new(),
             watchdog_armed: false,
             gather_unit: FifoServer::new(),
             init: None,
             comp_tail: 0,
             comp_phase: true,
-            comp_dmas: DetMap::new(),
+            comp_dmas: BTreeMap::new(),
             next_token: 1,
             started: false,
         }
@@ -1258,7 +1257,7 @@ impl HdcEngine {
         let acked = self.snd_acked.entry(conn).or_insert(0);
         *acked = (*acked).max(ack as u64);
         let acked = *acked;
-        let mut covered: Vec<SlotRef> = self
+        let covered: Vec<SlotRef> = self
             .nic_sends
             .iter_mut()
             .filter(|(_, s)| s.conn == conn && !s.acked && s.start_off + s.len as u64 <= acked)
@@ -1267,7 +1266,6 @@ impl HdcEngine {
                 *at
             })
             .collect();
-        covered.sort_unstable_by_key(|at| (at.slot, at.op));
         for at in covered {
             self.try_complete_nic_send(ctx, at);
         }
@@ -1280,7 +1278,7 @@ impl HdcEngine {
         let mut frames: Vec<(u16, Vec<u8>, Range<usize>)> = Vec::new();
         let mut bytes = 0usize;
         let mut acks_in: Vec<(u16, u32)> = Vec::new();
-        let mut ack_out: DetMap<u16, TcpFlow> = DetMap::new();
+        let mut ack_out: BTreeMap<u16, TcpFlow> = BTreeMap::new();
         {
             let depth = self.config.recv_buffers + 1;
             loop {
@@ -1376,10 +1374,8 @@ impl HdcEngine {
         }
         // Acknowledge the batch: one coalesced cumulative ack per flow that
         // delivered data (accepted or not — duplicates are re-acked so a
-        // sender whose ack got lost stops retransmitting). Sorted: hash-map
-        // order must not reach the event sequence.
-        let mut ack_out: Vec<(u16, TcpFlow)> = ack_out.into_iter().collect();
-        ack_out.sort_unstable_by_key(|(c, _)| *c);
+        // sender whose ack got lost stops retransmitting), in connection
+        // order.
         for (conn, rflow) in ack_out {
             let count = self.rcv_count.get(&conn).copied().unwrap_or(0);
             let ack_frame = build_frame(&rflow, ACK_MAGIC, count as u32, &[]);
@@ -1484,8 +1480,8 @@ impl HdcEngine {
         }
         self.on_nic_rx_msi(ctx);
         // NVMe sub-commands silent past the op deadline become errors.
-        // Sweeps sort what they collect from hash maps: iteration order
-        // must never leak into the event sequence (seed reproducibility).
+        // Sweeps visit ordered maps, so they act in (controller, CID) and
+        // (slot, op) order.
         let mut timed_out: Vec<(usize, u16)> = Vec::new();
         for (i, ctrl) in self.nvme.iter().enumerate() {
             for (&cid, op) in &ctrl.outstanding {
@@ -1494,7 +1490,6 @@ impl HdcEngine {
                 }
             }
         }
-        timed_out.sort_unstable();
         for (ssd, cid) in timed_out {
             let Some(op) = self.nvme[ssd].outstanding.remove(&cid) else {
                 continue;
@@ -1526,9 +1521,6 @@ impl HdcEngine {
                 fail.push(at);
             }
         }
-        force.sort_unstable_by_key(|at| (at.slot, at.op));
-        retry.sort_unstable_by_key(|at| (at.slot, at.op));
-        fail.sort_unstable_by_key(|at| (at.slot, at.op));
         for at in force {
             let Some(send) = self.nic_sends.get_mut(&at) else {
                 continue;

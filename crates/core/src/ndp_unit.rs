@@ -8,7 +8,7 @@
 //! itself runs the real [`dcs_ndp`] code over the bytes in engine memory,
 //! so digests and transforms are bit-exact with every other design.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_ndp::{NdpFunction, NdpOutput};
 use dcs_sim::{Bandwidth, ServerBank, SimTime};
@@ -47,7 +47,7 @@ impl NdpUnitSpec {
 /// Pure timing + computation logic; the engine component schedules around
 /// the completion instants this returns.
 pub struct NdpBank {
-    banks: DetMap<NdpFunction, (NdpUnitSpec, ServerBank)>,
+    banks: BTreeMap<NdpFunction, (NdpUnitSpec, ServerBank)>,
 }
 
 impl NdpBank {

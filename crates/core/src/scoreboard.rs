@@ -166,7 +166,7 @@ pub enum CmdState {
 }
 
 /// Addresses one entry: command slot + op index.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct SlotRef {
     /// Index of the D2D command slot.
     pub slot: usize,

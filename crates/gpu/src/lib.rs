@@ -31,7 +31,7 @@
 //! };
 //! ```
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_ndp::NdpFunction;
 use dcs_pcie::{AddrRange, PhysAddr, PhysMemory, PortId};
@@ -120,7 +120,7 @@ pub struct GpuHandle {
 pub struct GpuDevice {
     config: GpuConfig,
     compute: FifoServer,
-    pending: DetMap<u64, Pending>,
+    pending: BTreeMap<u64, Pending>,
     next_token: u64,
 }
 
@@ -130,7 +130,7 @@ impl GpuDevice {
         GpuDevice {
             config,
             compute: FifoServer::new(),
-            pending: DetMap::new(),
+            pending: BTreeMap::new(),
             next_token: 1,
         }
     }

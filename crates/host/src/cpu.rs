@@ -7,7 +7,7 @@
 //! retires. Utilization figures (3b, 8, 12, 13) are read out of `CpuStats`
 //! after a run.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_sim::{BusyTracker, Component, ComponentId, Ctx, Msg, ServerBank, SimTime};
 
@@ -34,7 +34,7 @@ pub struct CpuJobDone {
 /// World-resident CPU accounting, keyed by pool name (one pool per node).
 #[derive(Debug, Default)]
 pub struct CpuStats {
-    pools: DetMap<String, PoolStats>,
+    pools: BTreeMap<String, PoolStats>,
 }
 
 /// Accounting for one pool.

@@ -18,7 +18,7 @@
 //! host drivers, and those costs show up in both the latency breakdowns
 //! (Figure 11) and the CPU-utilization breakdowns (Figures 3b, 12).
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_gpu::GpuHandle;
 use dcs_ndp::NdpFunction;
@@ -132,9 +132,9 @@ pub struct SwExecutor {
     design: SwDesign,
     wiring: ExecutorWiring,
     costs: KernelCosts,
-    jobs: DetMap<u64, JobState>,
+    jobs: BTreeMap<u64, JobState>,
     /// Sub-request token → job id.
-    tokens: DetMap<u64, u64>,
+    tokens: BTreeMap<u64, u64>,
     next_token: u64,
     next_slot: u64,
     /// GPU staging slot cursor.
@@ -148,8 +148,8 @@ impl SwExecutor {
             design,
             wiring,
             costs,
-            jobs: DetMap::new(),
-            tokens: DetMap::new(),
+            jobs: BTreeMap::new(),
+            tokens: BTreeMap::new(),
             next_token: 1,
             next_slot: 0,
             next_gpu_slot: 0,

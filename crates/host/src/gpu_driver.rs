@@ -8,7 +8,7 @@
 //! done by the caller over the normal PCIe fabric, matching how the
 //! baselines differ (SwOpt copies host↔GPU; SwP2p DMAs peer-to-peer).
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_gpu::{GpuHandle, KernelDone, LaunchKernel};
 use dcs_ndp::NdpFunction;
@@ -70,8 +70,8 @@ pub struct HostGpuDriver {
     cpu: ComponentId,
     gpu: GpuHandle,
     costs: KernelCosts,
-    pending: DetMap<u64, Pending>,
-    cpu_phases: DetMap<u64, CpuPhase>,
+    pending: BTreeMap<u64, Pending>,
+    cpu_phases: BTreeMap<u64, CpuPhase>,
     next_token: u64,
 }
 
@@ -82,8 +82,8 @@ impl HostGpuDriver {
             cpu,
             gpu,
             costs,
-            pending: DetMap::new(),
-            cpu_phases: DetMap::new(),
+            pending: BTreeMap::new(),
+            cpu_phases: BTreeMap::new(),
             next_token: 1,
         }
     }

@@ -11,7 +11,7 @@
 //! it exists to show how close DCS-ctrl gets to a fused design while
 //! keeping off-the-shelf devices.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_nvme::{NvmeConfig, LBA_SIZE};
 use dcs_pcie::{AddrRange, PhysMemory};
@@ -62,9 +62,9 @@ pub struct IntegratedExecutor {
     cpu: ComponentId,
     /// Flash backing region (shared layout with the discrete SSD model).
     flash: AddrRange,
-    pending: DetMap<u64, D2dJob>,
+    pending: BTreeMap<u64, D2dJob>,
     next_token: u64,
-    tokens: DetMap<u64, u64>,
+    tokens: BTreeMap<u64, u64>,
 }
 
 /// Internal: all device work for a job has elapsed.
@@ -90,9 +90,9 @@ impl IntegratedExecutor {
             costs,
             cpu,
             flash,
-            pending: DetMap::new(),
+            pending: BTreeMap::new(),
             next_token: 1,
-            tokens: DetMap::new(),
+            tokens: BTreeMap::new(),
         }
     }
 

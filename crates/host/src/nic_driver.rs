@@ -22,7 +22,7 @@
 //! and counted rather than panicking. Without a plan none of this runs
 //! and the event stream is identical to the fault-free simulator.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use dcs_nic::headers::{build_frame, build_template, parse_frame, ACK_MAGIC};
 use dcs_nic::{
@@ -30,7 +30,7 @@ use dcs_nic::{
     SendDescriptor, TcpFlow,
 };
 use dcs_pcie::{AddrRange, MmioWrite, MsiDelivery, PhysAddr, PhysMemory};
-use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, DetMap, Msg, SimTime};
+use dcs_sim::{fault, Breakdown, Category, Component, ComponentId, Ctx, Msg, SimTime};
 
 use crate::costs::{KernelCosts, KernelMode};
 use crate::cpu::{CpuJob, CpuJobDone};
@@ -189,27 +189,27 @@ pub struct HostNicDriver {
     /// In-flight sends, completed in FIFO order by the NIC's tx MSIs.
     tx_queue: VecDeque<u64>,
     tx_submit_queue: VecDeque<u64>,
-    sends: DetMap<u64, PendingSend>,
+    sends: BTreeMap<u64, PendingSend>,
     /// Active receive expectations, served in arrival order per flow.
     expectations: Vec<Expectation>,
     /// Payload bytes that arrived before any matching expectation.
-    early: DetMap<(u16, u16), VecDeque<u8>>,
-    cpu_phases: DetMap<u64, CpuPhase>,
+    early: BTreeMap<(u16, u16), VecDeque<u8>>,
+    cpu_phases: BTreeMap<u64, CpuPhase>,
     next_cpu_token: u64,
     hdr_slot: u64,
     /// Frames consumed since the last buffer repost.
     consumed_since_repost: u16,
     /// Fault mode: cumulative payload bytes submitted per transmit flow
     /// key `(src_port, dst_port)`.
-    tx_offset: DetMap<(u16, u16), u64>,
+    tx_offset: BTreeMap<(u16, u16), u64>,
     /// Fault mode: highest cumulative ack received per transmit flow key.
-    snd_acked: DetMap<(u16, u16), u64>,
+    snd_acked: BTreeMap<(u16, u16), u64>,
     /// Fault mode: cumulative payload bytes accepted in order per
     /// receive key (the peer's transmit direction).
-    rcv_count: DetMap<(u16, u16), u64>,
+    rcv_count: BTreeMap<(u16, u16), u64>,
     /// Fault mode: unacknowledged send ids per transmit flow key,
     /// oldest first.
-    unacked: DetMap<(u16, u16), VecDeque<u64>>,
+    unacked: BTreeMap<(u16, u16), VecDeque<u64>>,
 }
 
 impl HostNicDriver {
@@ -259,17 +259,17 @@ impl HostNicDriver {
             wb_next: 0,
             tx_queue: VecDeque::new(),
             tx_submit_queue: VecDeque::new(),
-            sends: DetMap::new(),
+            sends: BTreeMap::new(),
             expectations: Vec::new(),
-            early: DetMap::new(),
-            cpu_phases: DetMap::new(),
+            early: BTreeMap::new(),
+            cpu_phases: BTreeMap::new(),
             next_cpu_token: 1,
             hdr_slot: 0,
             consumed_since_repost: 0,
-            tx_offset: DetMap::new(),
-            snd_acked: DetMap::new(),
-            rcv_count: DetMap::new(),
-            unacked: DetMap::new(),
+            tx_offset: BTreeMap::new(),
+            snd_acked: BTreeMap::new(),
+            rcv_count: BTreeMap::new(),
+            unacked: BTreeMap::new(),
         };
         (driver, configure)
     }
@@ -722,7 +722,7 @@ impl HostNicDriver {
         let faulty = fault::active(ctx.world_ref());
         let total_bytes: usize = frames.iter().map(|(_, _, p)| p.len()).sum::<usize>().max(1);
         // Flows that need a (coalesced) ack after this batch.
-        let mut ack_flows: DetMap<(u16, u16), TcpFlow> = DetMap::new();
+        let mut ack_flows: BTreeMap<(u16, u16), TcpFlow> = BTreeMap::new();
         for (flow, ack, payload) in frames {
             let key = (flow.src_port, flow.dst_port);
             if faulty {
@@ -744,10 +744,7 @@ impl HostNicDriver {
             }
             self.early.entry(key).or_default().extend(payload);
         }
-        // Sorted: hash-map iteration order must never reach the event
-        // sequence (seed reproducibility).
-        let mut ack_flows: Vec<((u16, u16), TcpFlow)> = ack_flows.into_iter().collect();
-        ack_flows.sort_unstable_by_key(|(k, _)| *k);
+        // One ack per flow, in (src, dst) port order.
         for (key, flow) in ack_flows {
             let count = self.rcv_count.get(&key).copied().unwrap_or(0);
             let ack_frame = build_frame(&flow.reversed(), ACK_MAGIC, count as u32, &[]);

@@ -15,7 +15,7 @@
 //! Without a plan none of these timers are armed and the event stream is
 //! identical to the fault-free simulator.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_nvme::{
     AttachQueuePair, CompletionQueueReader, NvmeCommand, NvmeCompletion, NvmeHandle, NvmeOpcode,
@@ -114,12 +114,12 @@ pub struct HostNvmeDriver {
     cq: CompletionQueueReader,
     /// Scratch for PRP list pages, one page per CID slot.
     prp_scratch: AddrRange,
-    outstanding: DetMap<u16, Outstanding>,
+    outstanding: BTreeMap<u16, Outstanding>,
     /// Sub-command CID → primary CID for MDTS-split requests.
-    chunk_owner: DetMap<u16, u16>,
+    chunk_owner: BTreeMap<u16, u16>,
     /// Sub-command CID → chunk geometry (for error-path resubmission).
-    chunk_geom: DetMap<u16, ChunkGeom>,
-    cpu_phases: DetMap<u64, CpuPhase>,
+    chunk_geom: BTreeMap<u16, ChunkGeom>,
+    cpu_phases: BTreeMap<u64, CpuPhase>,
     next_cid: u16,
     next_cpu_token: u64,
     /// Queue-pair geometry kept for controller resets.
@@ -169,10 +169,10 @@ impl HostNvmeDriver {
             sq: SubmissionQueueWriter::new(sq_base, depth),
             cq: CompletionQueueReader::new(cq_base, depth),
             prp_scratch: AddrRange::new(prp_base, depth as u64 * 4096),
-            outstanding: DetMap::new(),
-            chunk_owner: DetMap::new(),
-            chunk_geom: DetMap::new(),
-            cpu_phases: DetMap::new(),
+            outstanding: BTreeMap::new(),
+            chunk_owner: BTreeMap::new(),
+            chunk_geom: BTreeMap::new(),
+            cpu_phases: BTreeMap::new(),
             next_cid: 0,
             next_cpu_token: 1,
             attach,
@@ -383,8 +383,8 @@ impl HostNvmeDriver {
             // the slot, but a poll may race the rewrite). An entry whose
             // CID matches nothing we submitted must not steer SQ-head
             // accounting or complete anything.
-            let known = self.chunk_owner.get(&entry.cid).is_some()
-                || self.outstanding.get(&entry.cid).is_some();
+            let known = self.chunk_owner.contains_key(&entry.cid)
+                || self.outstanding.contains_key(&entry.cid);
             if !known {
                 ctx.world().stats.counter("nvme.drv_bad_cqe").add(1);
                 continue;
@@ -500,20 +500,19 @@ impl HostNvmeDriver {
                 .expect_mut::<PhysMemory>()
                 .write(attach.cq_base, &zeros);
         }
-        self.chunk_owner = DetMap::new();
-        self.chunk_geom = DetMap::new();
+        self.chunk_owner.clear();
+        self.chunk_geom.clear();
         // Resubmit in CID order for determinism, each request under a
         // FRESH primary CID: any pre-reset completion entry still in
         // flight then matches nothing and is dropped by the drain-side
         // validation, instead of double-completing resubmitted chunks.
         // `submit_to_device` rebuilds chunks and re-arms the timeout.
-        let mut pending: Vec<u16> = self
+        let pending: Vec<u16> = self
             .outstanding
             .iter()
             .filter(|(_, o)| o.chunks_remaining > 0)
             .map(|(&cid, _)| cid)
             .collect();
-        pending.sort_unstable();
         for old_cid in pending {
             let Some(out) = self.outstanding.remove(&old_cid) else {
                 continue;

@@ -98,8 +98,8 @@ pub struct Variant {
 pub struct TypeTokens(pub Vec<Token>);
 
 impl TypeTokens {
-    /// Every identifier in the type, outermost first (`DetMap<u64,
-    /// Box<Frame>>` → `DetMap`, `u64`, `Box`, `Frame`).
+    /// Every identifier in the type, outermost first (`BTreeMap<u64,
+    /// Box<Frame>>` → `BTreeMap`, `u64`, `Box`, `Frame`).
     pub fn idents(&self) -> impl Iterator<Item = &str> {
         self.0.iter().filter_map(|t| t.ident())
     }
@@ -891,7 +891,7 @@ mod tests {
             r#"
             pub struct Node {
                 pub id: u32,
-                queue: DetMap<u64, Box<Frame>>,
+                queue: BTreeMap<u64, Box<Frame>>,
                 #[allow(dead_code)]
                 scratch: Vec<(SimTime, u8)>,
             }
@@ -904,7 +904,7 @@ mod tests {
         let names: Vec<&str> = fields.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["id", "queue", "scratch"]);
         let q: Vec<&str> = fields[1].ty.idents().collect();
-        assert_eq!(q, vec!["DetMap", "u64", "Box", "Frame"]);
+        assert_eq!(q, vec!["BTreeMap", "u64", "Box", "Frame"]);
     }
 
     #[test]
@@ -1001,7 +1001,7 @@ mod tests {
     fn use_leaves_honor_groups_renames_and_globs() {
         let p = items(
             r#"
-            use dcs_sim::{DetMap, DetSet};
+            use dcs_sim::{Simulator, World};
             use std::collections::BTreeMap as Map;
             use crate::rules::*;
             "#,
@@ -1014,7 +1014,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(leaves[0], vec!["DetMap", "DetSet"]);
+        assert_eq!(leaves[0], vec!["Simulator", "World"]);
         assert_eq!(leaves[1], vec!["Map"]);
         assert_eq!(leaves[2], vec!["*"]);
     }

@@ -107,7 +107,7 @@ impl<'w> Resolver<'w> {
 }
 
 /// Maps a `use` path head to the short crate name it draws from.
-/// `dcs_sim::DetMap` → `sim`; `crate::…`/`super::…`/`self::…` → the
+/// `dcs_sim::World` → `sim`; `crate::…`/`super::…`/`self::…` → the
 /// importing file's crate; `std`/`core`/`alloc` → `None` (external).
 fn import_crate(path: &str, own_crate: &str) -> Option<String> {
     let head = path

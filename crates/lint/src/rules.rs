@@ -66,7 +66,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "hash-collection",
         family: "determinism",
-        summary: "std HashMap/HashSet/RandomState (randomized iteration order) — use dcs_sim::{DetMap, DetSet}",
+        summary: "std HashMap/HashSet/RandomState (randomized iteration order) — use std::collections::{BTreeMap, BTreeSet}",
     },
     RuleInfo {
         id: "hash-iter",
@@ -365,7 +365,7 @@ fn rule_hash_collection(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                     ctx,
                     t.line,
                     format!(
-                        "`{name}` has randomized iteration order; use `dcs_sim::DetMap`/`DetSet` \
+                        "`{name}` has randomized iteration order; use `std::collections::BTreeMap`/`BTreeSet` \
                          so same-seed replay stays bit-identical"
                     ),
                 );
@@ -458,7 +458,7 @@ fn rule_hash_iter(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                         t.line,
                         format!(
                             "`.{m}()` on hash-ordered `{name}` visits entries in a \
-                             seed-dependent order; migrate `{name}` to `DetMap`/`DetSet`"
+                             seed-dependent order; migrate `{name}` to `BTreeMap`/`BTreeSet`"
                         ),
                     );
                 }
@@ -490,7 +490,7 @@ fn rule_hash_iter(ctx: &FileCtx, findings: &mut Vec<Finding>) {
                     t.line,
                     format!(
                         "iterating hash-ordered `{name}` in a `for` loop is seed-dependent; \
-                         migrate `{name}` to `DetMap`/`DetSet`"
+                         migrate `{name}` to `BTreeMap`/`BTreeSet`"
                     ),
                 );
             }
@@ -1193,8 +1193,8 @@ mod tests {
     #[test]
     fn clean_file_has_no_findings() {
         let src = r#"
-            use dcs_sim::DetMap;
-            struct S { m: DetMap<u64, u32> }
+            use std::collections::BTreeMap;
+            struct S { m: BTreeMap<u64, u32> }
             impl S {
                 fn handle(&mut self) {
                     for (k, v) in self.m.iter() { let _ = (k, v); }

@@ -151,7 +151,7 @@ use std::collections::HashMap;
 fn stale_pragma_is_flagged_once_the_violation_is_gone() {
     // The pragma once waived a HashMap on this line; the HashMap was
     // fixed but the pragma stayed behind.
-    let src = "use dcs_sim::DetMap; // dcs-lint: allow(hash-collection) — index only\n";
+    let src = "use std::collections::BTreeMap; // dcs-lint: allow(hash-collection) — index only\n";
     let f = analyze_source("crates/x/src/lib.rs", src);
     let stale = active(&f, "stale-pragma");
     assert_eq!(stale.len(), 1, "{f:#?}");

@@ -16,7 +16,7 @@ use crate::sha256::Sha256;
 
 /// The intermediate-processing functions of Table III (plus the inverse
 /// transforms needed for receive paths).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum NdpFunction {
     /// MD5 digest (Swift/S3/Azure object integrity).
     Md5,

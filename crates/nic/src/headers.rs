@@ -25,7 +25,7 @@ pub const ACK_MAGIC: u32 = 0xACCE_55ED;
 /// as the kernel hands it to the HDC Driver (§IV-B: "interacts with the
 /// existing kernel … TCP/IP network stacks to find … TCP/IP connection
 /// information").
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TcpFlow {
     /// Source MAC address.
     pub src_mac: [u8; 6],

@@ -16,7 +16,7 @@
 //! Timing defaults follow the Intel SSD 750 of Table V: 17.2 Gbps reads,
 //! 7.2 Gbps writes.
 
-use dcs_sim::DetMap;
+use std::collections::BTreeMap;
 
 use dcs_pcie::{
     aer, AddrRange, DmaComplete, DmaRequest, MmioWrite, Msi, PhysAddr, PhysMemory, PortId, TlpClass,
@@ -188,8 +188,8 @@ pub struct NvmeDevice {
     /// Scratch area inside the BAR region used to land SQ-entry and
     /// PRP-list fetches (device-internal SRAM).
     scratch: PhysAddr,
-    queues: DetMap<u16, QueuePair>,
-    ops: DetMap<u64, Op>,
+    queues: BTreeMap<u16, QueuePair>,
+    ops: BTreeMap<u64, Op>,
     next_token: u64,
     flash_read_unit: FifoServer,
     flash_write_unit: FifoServer,
@@ -209,8 +209,8 @@ impl NvmeDevice {
             bar,
             flash,
             scratch,
-            queues: DetMap::new(),
-            ops: DetMap::new(),
+            queues: BTreeMap::new(),
+            ops: BTreeMap::new(),
             next_token: 1,
             flash_read_unit: FifoServer::new(),
             flash_write_unit: FifoServer::new(),

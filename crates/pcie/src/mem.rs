@@ -6,7 +6,6 @@
 //! region is tagged with the PCIe [`PortId`] it sits behind so the fabric
 //! can charge transfers to the right links.
 
-use dcs_sim::DetMap;
 use std::fmt;
 
 use crate::addr::{AddrRange, PhysAddr};
@@ -33,7 +32,10 @@ const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 /// Byte storage materialized page-by-page on first write.
 #[derive(Default)]
 struct SparseBytes {
-    pages: DetMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Page number -> page. Only ever looked up by key, never iterated,
+    /// so its order cannot reach the simulation; every DMA walks it page
+    /// by page, where a hashed lookup beats a tree walk.
+    pages: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>>, // dcs-lint: allow(hash-collection) — lookup-only page index on every DMA's hot path; never iterated
 }
 
 /// What an untouched page reads as.

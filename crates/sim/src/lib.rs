@@ -46,7 +46,6 @@
 
 pub(crate) mod calendar;
 pub mod component;
-pub mod detmap;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -61,7 +60,6 @@ pub mod trace;
 pub mod world;
 
 pub use component::{Component, ComponentId};
-pub use detmap::{DetMap, DetSet};
 pub use engine::{Ctx, Simulator};
 pub use event::{Msg, Payload};
 pub use fault::{FaultPlan, FaultSpec, RecoveryConfig};

@@ -33,7 +33,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::detmap::DetMap;
 use crate::stats::Histogram;
 use crate::time::SimTime;
 
@@ -347,9 +346,9 @@ pub struct Recorder {
     enabled: bool,
     spans: Vec<Span>,
     /// Open begin/end spans, keyed `(cat, name, req)`.
-    open: DetMap<(&'static str, &'static str, u64), u64>,
+    open: BTreeMap<(&'static str, &'static str, u64), u64>,
     /// Per-request anatomy chains, keyed on request ID.
-    requests: DetMap<u64, Anatomy>,
+    requests: BTreeMap<u64, Anatomy>,
     metrics: MetricsRegistry,
 }
 
@@ -520,7 +519,7 @@ impl Recorder {
         self.requests.get(&req)
     }
 
-    /// Iterates `(request, anatomy)` in request-begin order.
+    /// Iterates `(request, anatomy)` in request-ID order.
     pub fn anatomies(&self) -> impl Iterator<Item = (u64, &Anatomy)> + '_ {
         self.requests.iter().map(|(k, v)| (*k, v))
     }
@@ -565,16 +564,15 @@ impl Recorder {
 ///   latency in nanoseconds, so a consumer can check the ±0 sum
 ///   invariant without touching the µs fields.
 pub fn chrome_trace(rec: &Recorder) -> String {
-    // Deterministic pid assignment: first-seen category order.
-    let mut pids: DetMap<&'static str, i128> = DetMap::new();
-    let pid_of = |cat: &'static str, pids: &mut DetMap<&'static str, i128>| -> i128 {
-        if let Some(&p) = pids.get(cat) {
-            p
-        } else {
-            let p = pids.len() as i128 + 1;
-            pids.insert(cat, p);
-            p
-        }
+    // Deterministic pid assignment: first-seen category order, pid =
+    // index + 1.
+    let mut pids: Vec<&'static str> = Vec::new();
+    let pid_of = |cat: &'static str, pids: &mut Vec<&'static str>| -> i128 {
+        let i = pids.iter().position(|&c| c == cat).unwrap_or_else(|| {
+            pids.push(cat);
+            pids.len() - 1
+        });
+        i as i128 + 1
     };
     let us = |ns: u64| Json::Float(ns as f64 / 1000.0);
     let mut events: Vec<Json> = Vec::new();
@@ -640,11 +638,12 @@ pub fn chrome_trace(rec: &Recorder) -> String {
     // Name each category's process row for Perfetto.
     let name_events: Vec<Json> = pids
         .iter()
-        .map(|(cat, pid)| {
+        .enumerate()
+        .map(|(i, cat)| {
             Json::Obj(vec![
                 ("name".to_string(), Json::Str("process_name".to_string())),
                 ("ph".to_string(), Json::Str("M".to_string())),
-                ("pid".to_string(), Json::Int(*pid)),
+                ("pid".to_string(), Json::Int(i as i128 + 1)),
                 ("tid".to_string(), Json::Int(0)),
                 (
                     "args".to_string(),

@@ -6,8 +6,8 @@
 //! handled inside the switch can deposit bytes into SSD/NIC/HDC memory
 //! without components holding references to each other.
 
-use crate::detmap::DetMap;
 use std::any::{Any, TypeId};
+use std::collections::BTreeMap;
 
 use crate::obs::Recorder;
 use crate::rng::Rng;
@@ -24,7 +24,7 @@ pub struct World {
     /// [`crate::obs`]). Recording is purely observational, so enabling
     /// it cannot change simulation behaviour.
     pub obs: Recorder,
-    resources: DetMap<TypeId, Box<dyn Any>>,
+    resources: BTreeMap<TypeId, Box<dyn Any>>,
 }
 
 impl World {
@@ -34,7 +34,7 @@ impl World {
             rng: Rng::new(seed),
             stats: Stats::new(),
             obs: Recorder::new(),
-            resources: DetMap::new(),
+            resources: BTreeMap::new(),
         }
     }
 

@@ -4,8 +4,9 @@
 //! simulated time, and every counter in the world stats.
 //!
 //! This is the property `dcs-lint` exists to protect (DESIGN.md §10):
-//! before the DetMap migration, any device table iterated in hash
-//! order could silently reorder same-timestamp events between runs.
+//! a device table iterated in hash order could silently reorder
+//! same-timestamp events between runs; ordered `BTreeMap`/`BTreeSet`
+//! tables cannot.
 //! The serialized trace here deliberately includes every stats counter
 //! so even a divergence that cancels out in the end-to-end latency
 //! still fails the comparison.

@@ -64,6 +64,58 @@ fn trace_export_covers_at_least_four_component_categories() {
 }
 
 #[test]
+fn process_rows_follow_first_seen_category_order() {
+    let (_, json) = traced_capture();
+    let events = json
+        .get("traceEvents")
+        .and_then(|e| e.as_arr())
+        .expect("object form with traceEvents");
+    let str_of = |ev: &Json, key: &str| ev.get(key).and_then(|v| v.as_str()).map(String::from);
+    // Process-name rows, in the order the export writes them.
+    let rows: Vec<(String, i128)> = events
+        .iter()
+        .filter(|ev| str_of(ev, "ph").as_deref() == Some("M"))
+        .map(|ev| {
+            let name = ev
+                .get("args")
+                .and_then(|a| str_of(a, "name"))
+                .expect("process_name carries a name");
+            let pid = ev.get("pid").and_then(|p| p.as_i128()).expect("pid");
+            (name, pid)
+        })
+        .collect();
+    // Spans are exported first, in `spans()` order, then the anatomy
+    // segments: the rows must name categories in first-seen span order,
+    // then `anatomy`, with pid = position + 1.
+    let mut want: Vec<String> = Vec::new();
+    for ev in events {
+        if str_of(ev, "ph").as_deref() != Some("X") {
+            continue;
+        }
+        let cat = str_of(ev, "cat").expect("X events carry a category");
+        if cat != "anatomy" && !want.contains(&cat) {
+            want.push(cat);
+        }
+    }
+    want.push("anatomy".to_string());
+    let names: Vec<&str> = rows.iter().map(|(n, _)| n.as_str()).collect();
+    assert_eq!(names, want, "process rows out of first-seen order");
+    for (i, (name, pid)) in rows.iter().enumerate() {
+        assert_eq!(*pid, i as i128 + 1, "pid of {name}");
+    }
+    // Every event sits on its category's row.
+    for ev in events
+        .iter()
+        .filter(|ev| str_of(ev, "ph").as_deref() == Some("X"))
+    {
+        let cat = str_of(ev, "cat").expect("category");
+        let pid = ev.get("pid").and_then(|p| p.as_i128()).expect("pid");
+        let row = rows.iter().position(|(n, _)| *n == cat).expect("row");
+        assert_eq!(pid, row as i128 + 1, "event of {cat} on the wrong row");
+    }
+}
+
+#[test]
 fn anatomy_segments_sum_to_end_to_end_latency_exactly() {
     let (cap, json) = traced_capture();
     assert!(!cap.requests.is_empty(), "capture must trace requests");
