@@ -2,7 +2,8 @@
 //! real bytes between.
 //!
 //! Regions can be huge (the SSD flash region is hundreds of gigabytes) but
-//! only touched pages are materialized, so scenarios stay cheap. Each
+//! only touched pages are materialized, and only pages holding a non-zero
+//! byte take host memory, so scenarios stay cheap. Each
 //! region is tagged with the PCIe [`PortId`] it sits behind so the fabric
 //! can charge transfers to the right links.
 
@@ -30,12 +31,20 @@ const PAGE_SHIFT: u32 = 12;
 const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
 
 /// Byte storage materialized page-by-page on first write.
+///
+/// A materialized page is counted by [`SparseBytes::resident_bytes`] from
+/// its first write on, but holds host bytes only once a non-zero byte
+/// lands in it: most modelled memory (flash, engine DDR) only ever holds
+/// zeros, and a fresh host page costs an allocation plus a page fault.
 #[derive(Default)]
 struct SparseBytes {
-    /// Page number -> page. Only ever looked up by key, never iterated,
-    /// so its order cannot reach the simulation; every DMA walks it page
-    /// by page, where a hashed lookup beats a tree walk.
-    pages: std::collections::HashMap<u64, Box<[u8; PAGE_SIZE]>>, // dcs-lint: allow(hash-collection) — lookup-only page index on every DMA's hot path; never iterated
+    /// Page number -> page; `None` is a materialized page whose bytes are
+    /// all zero. Only ever looked up by key, never iterated, so its order
+    /// cannot reach the simulation; every DMA walks it page by page, where
+    /// a hashed lookup beats a tree walk.
+    pages: std::collections::HashMap<u64, Option<Box<[u8; PAGE_SIZE]>>>, // dcs-lint: allow(hash-collection) — lookup-only page index on every DMA's hot path; never iterated
+    /// How many of `pages` hold a host page.
+    backed: usize,
 }
 
 /// What an untouched page reads as.
@@ -51,7 +60,11 @@ impl SparseBytes {
             let page = off >> PAGE_SHIFT;
             let in_page = (off as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(left);
-            let bytes = self.pages.get(&page).map_or(&ZERO_PAGE, |p| &**p);
+            let bytes = self
+                .pages
+                .get(&page)
+                .and_then(|p| p.as_deref())
+                .unwrap_or(&ZERO_PAGE);
             f(&bytes[in_page..in_page + n]);
             off += n as u64;
             left -= n;
@@ -73,11 +86,17 @@ impl SparseBytes {
             let page = off >> PAGE_SHIFT;
             let in_page = (off as usize) & (PAGE_SIZE - 1);
             let n = (PAGE_SIZE - in_page).min(data.len() - done);
-            let p = self
-                .pages
-                .entry(page)
-                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            p[in_page..in_page + n].copy_from_slice(&data[done..done + n]);
+            let piece = &data[done..done + n];
+            match self.pages.entry(page).or_insert(None) {
+                Some(p) => p[in_page..in_page + n].copy_from_slice(piece),
+                None if is_zero(piece) => {}
+                slot @ None => {
+                    let mut p = Box::new([0u8; PAGE_SIZE]);
+                    p[in_page..in_page + n].copy_from_slice(piece);
+                    *slot = Some(p);
+                    self.backed += 1;
+                }
+            }
             off += n as u64;
             done += n;
         }
@@ -86,6 +105,18 @@ impl SparseBytes {
     fn resident_bytes(&self) -> usize {
         self.pages.len() * PAGE_SIZE
     }
+
+    fn backed_bytes(&self) -> usize {
+        self.backed * PAGE_SIZE
+    }
+}
+
+/// Whether every byte of `bytes` is zero: an OR-fold over 64-byte chunks
+/// that stops at the first chunk holding a non-zero byte.
+fn is_zero(bytes: &[u8]) -> bool {
+    let mut chunks = bytes.chunks_exact(64);
+    chunks.all(|c| c.iter().fold(0, |acc, &b| acc | b) == 0)
+        && chunks.remainder().iter().all(|&b| b == 0)
 }
 
 /// Metadata describing a registered region.
@@ -111,7 +142,12 @@ struct Region {
 /// the fabric and device components).
 #[derive(Default)]
 pub struct PhysMemory {
+    /// Regions in registration order.
     regions: Vec<Region>,
+    /// `(start address, index into regions)`, sorted by start; regions
+    /// never overlap, so an access can only lie in the last region that
+    /// starts at or below it.
+    by_start: Vec<(u64, usize)>,
     next_free: u64,
 }
 
@@ -124,6 +160,7 @@ impl PhysMemory {
     pub fn new() -> Self {
         PhysMemory {
             regions: Vec::new(),
+            by_start: Vec::new(),
             next_free: REGION_ALIGN,
         }
     }
@@ -139,14 +176,7 @@ impl PhysMemory {
         let start = PhysAddr(self.next_free);
         let range = AddrRange::new(start, len);
         self.next_free = (start.0 + len).div_ceil(REGION_ALIGN) * REGION_ALIGN;
-        self.regions.push(Region {
-            info: RegionInfo {
-                name: name.to_string(),
-                range,
-                port,
-            },
-            bytes: SparseBytes::default(),
-        });
+        self.push_region(name, range, port);
         range
     }
 
@@ -168,6 +198,13 @@ impl PhysMemory {
         self.next_free = self
             .next_free
             .max((range.end().as_u64()).div_ceil(REGION_ALIGN) * REGION_ALIGN);
+        self.push_region(name, range, port);
+    }
+
+    fn push_region(&mut self, name: &str, range: AddrRange, port: PortId) {
+        let start = range.start.as_u64();
+        let at = self.by_start.partition_point(|&(s, _)| s <= start);
+        self.by_start.insert(at, (start, self.regions.len()));
         self.regions.push(Region {
             info: RegionInfo {
                 name: name.to_string(),
@@ -179,9 +216,11 @@ impl PhysMemory {
     }
 
     fn region_index_of(&self, addr: PhysAddr, len: usize) -> usize {
-        self.regions
-            .iter()
-            .position(|r| r.info.range.contains_span(addr, len))
+        let after = self.by_start.partition_point(|&(s, _)| s <= addr.as_u64());
+        after
+            .checked_sub(1)
+            .map(|k| self.by_start[k].1)
+            .filter(|&i| self.regions[i].info.range.contains_span(addr, len))
             .unwrap_or_else(|| {
                 panic!(
                     "access [{addr} +{len}) hits no single region; registered: {:?}",
@@ -289,10 +328,17 @@ impl PhysMemory {
         });
     }
 
-    /// Total bytes of materialized backing store (for memory-pressure
-    /// assertions in tests).
+    /// Total bytes of materialized pages: every page a write has touched,
+    /// zero or not. This is the modelled footprint that reports count.
     pub fn resident_bytes(&self) -> usize {
         self.regions.iter().map(|r| r.bytes.resident_bytes()).sum()
+    }
+
+    /// Host bytes behind materialized pages: only pages that a non-zero
+    /// byte has landed in hold host memory, so this never exceeds
+    /// [`PhysMemory::resident_bytes`].
+    pub fn backed_bytes(&self) -> usize {
+        self.regions.iter().map(|r| r.bytes.backed_bytes()).sum()
     }
 
     /// Iterates over registered region metadata.
@@ -309,6 +355,7 @@ impl fmt::Debug for PhysMemory {
                 &self.regions.iter().map(|r| &r.info).collect::<Vec<_>>(),
             )
             .field("resident_bytes", &self.resident_bytes())
+            .field("backed_bytes", &self.backed_bytes())
             .finish()
     }
 }
@@ -369,6 +416,33 @@ mod tests {
         assert_eq!(info.port, PortId(3));
         assert_eq!(m.region_named("gpu-bar").unwrap().range, r);
         assert!(m.region_named("nope").is_none());
+    }
+
+    #[test]
+    fn region_lookup_follows_address_not_registration_order() {
+        let mut m = PhysMemory::new();
+        let a = m.alloc_region("a", 0x3000, PortId(1));
+        // Fixed regions registered high first, then low, then between.
+        let high = AddrRange::new(PhysAddr(0x8000), 0x1000);
+        let low = AddrRange::new(PhysAddr(0x1000), 0x2000);
+        let mid = AddrRange::new(PhysAddr(0x4000), 0x10);
+        m.add_region_at("high", high, PortId(2));
+        m.add_region_at("low", low, PortId(3));
+        m.add_region_at("mid", mid, PortId(4));
+        let b = m.alloc_region("b", 0x100, PortId(5));
+        for r in [a, high, low, mid, b] {
+            let first = m.region_of(r.start, 1);
+            let last = m.region_of(PhysAddr(r.end().as_u64() - 1), 1);
+            assert_eq!((first.range, last.range), (r, r));
+            assert_eq!(m.region_of(r.start, r.len as usize).range, r);
+        }
+        // Gaps between and below regions belong to none.
+        for gap in [0, 0xfff, 0x3000, 0x4010, 0x7fff, 0x9000, a.end().as_u64()] {
+            let hit = std::panic::catch_unwind(|| m.region_of(PhysAddr(gap), 1).range);
+            assert!(hit.is_err(), "address {gap:#x} hit {hit:?}");
+        }
+        let names: Vec<_> = m.regions().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["a", "high", "low", "mid", "b"]);
     }
 
     #[test]
