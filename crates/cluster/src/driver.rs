@@ -794,7 +794,6 @@ impl ClusterDriver {
                 // The queue bound is full: shed at the front end, bounded
                 // queues, graceful overload.
                 ctx.world().stats.counter("cluster.shed").add(1);
-                ctx.world().obs.count(self.labels.cat, "shed", 1);
                 self.note_denied(shed.tenant, is_write, Some(node), shed.arrival, false);
             }
         }
@@ -851,12 +850,10 @@ impl ClusterDriver {
         };
         let lane = self.traffic.lane(pend.tenant);
         let deliver = self.switch.to_node_lane(ctx.now(), node, wire_bytes, lane);
-        {
-            let now = ctx.now();
-            let obs = &mut ctx.world().obs;
-            obs.span(self.labels.cat, "uplink", req, now, deliver);
-            obs.count(self.labels.cat, "dispatched", 1);
-        }
+        let now = ctx.now();
+        ctx.world()
+            .obs
+            .span(self.labels.cat, "uplink", req, now, deliver);
         ctx.send_at(deliver, ctx.self_id(), Event::Delivered { req });
         let h = &self.cfg.health;
         if h.enabled && h.hedge && !is_write && hedge_of.is_none() && self.ring.replication() > 1 {
@@ -889,8 +886,6 @@ impl ClusterDriver {
                 ctx.world().stats.counter("cluster.stale_lookup").add(1);
             }
         }
-        let name = if hit { "cache.hit" } else { "cache.miss" };
-        ctx.world().obs.count(self.labels.cat, name, 1);
         (hit, cur)
     }
 
@@ -1183,19 +1178,10 @@ impl ClusterDriver {
             return;
         };
         self.free_leg(&r);
-        let cat = self.labels.cat;
-        {
-            let now = ctx.now();
-            let e2e = now - r.arrival;
-            let obs = &mut ctx.world().obs;
-            obs.count(cat, "responses", 1);
-            obs.observe(cat, "req.e2e_ns", e2e);
-        }
+        ctx.world().obs.count(self.labels.cat, "responses", 1);
         // The freed slot admits the queue's next pick.
         if !self.window_closed {
             if let Some((_, pend)) = self.queues[r.node].pop() {
-                let waited = ctx.now() - pend.arrival;
-                ctx.world().obs.observe(cat, "qos.queue_wait_ns", waited);
                 self.dispatch(ctx, r.node, pend, None);
             }
         }
@@ -1768,7 +1754,6 @@ impl ClusterDriver {
             // Donors in node order, each cache in key order, deduped by
             // object: deterministic.
             let mut seen = BTreeSet::new();
-            let mut warm_bytes = 0;
             cache.warm_plan.clear();
             for donor in (0..self.nodes.len()).filter(|&d| alive(d)) {
                 for (object, len, version) in cache.nodes[donor].warm_set() {
@@ -1777,14 +1762,10 @@ impl ClusterDriver {
                         && seen.insert(object)
                     {
                         *transfers.entry(donor).or_insert(0) += len;
-                        warm_bytes += len;
                         cache.warm_plan.push((object, len, version));
                     }
                 }
             }
-            ctx.world()
-                .obs
-                .count(self.labels.cat, "warmup.bytes", warm_bytes);
         }
         self.rejoin_node = Some(node);
         self.rejoin.start_at = Some(ctx.now());

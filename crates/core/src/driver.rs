@@ -233,7 +233,6 @@ impl HdcDriver {
             let obs = &mut ctx.world().obs;
             obs.req_begin(id, now);
             obs.span_begin("host", "submit-cpu", id, now);
-            obs.count("host", "jobs.submitted", 1);
         }
         let tag = job.tag;
         self.jobs.insert(
@@ -311,12 +310,8 @@ impl HdcDriver {
         };
         let mut breakdown = j.engine_bd.unwrap_or_default();
         breakdown.add(Category::DeviceControl, j.driver_ns);
-        {
-            let now = ctx.now();
-            let obs = &mut ctx.world().obs;
-            obs.req_end(id, "host:failed", now);
-            obs.count("host", "jobs.failed", 1);
-        }
+        let now = ctx.now();
+        ctx.world().obs.req_end(id, "host:failed", now);
         ctx.send_now(
             j.job.reply_to,
             D2dDone {
@@ -492,14 +487,8 @@ impl HdcDriver {
         breakdown.add(Category::DeviceControl, j.driver_ns);
         breakdown.add(Category::RequestCompletion, j.completion_ns);
         ctx.world().stats.counter("hdc.jobs_done").add(1);
-        {
-            let now = ctx.now();
-            let e2e = now - j.submitted_at;
-            let obs = &mut ctx.world().obs;
-            obs.req_end(id, "host:irq+completion", now);
-            obs.count("host", "jobs.done", 1);
-            obs.observe("host", "job.e2e_ns", e2e);
-        }
+        let now = ctx.now();
+        ctx.world().obs.req_end(id, "host:irq+completion", now);
         ctx.send_now(
             j.job.reply_to,
             D2dDone {

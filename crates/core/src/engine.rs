@@ -509,12 +509,10 @@ impl HdcEngine {
         match D2dCommand::from_bytes(&bytes) {
             Ok(cmd) => {
                 let parse = self.config.cmd_parse_ns;
-                {
-                    let now = ctx.now();
-                    let obs = &mut ctx.world().obs;
-                    obs.span("hdc", "cmd-parse", cmd.id, now, now + parse);
-                    obs.count("hdc", "cmds.received", 1);
-                }
+                let now = ctx.now();
+                ctx.world()
+                    .obs
+                    .span("hdc", "cmd-parse", cmd.id, now, now + parse);
                 ctx.send_self_in(parse, AdmitCmd { cmd });
             }
             Err(e) => {
@@ -657,12 +655,8 @@ impl HdcEngine {
             .admit(id, dev_cmds)
             .expect("room checked above");
         ctx.world().stats.counter("hdc.cmds_admitted").add(1);
-        {
-            let now = ctx.now();
-            let obs = &mut ctx.world().obs;
-            obs.mark(id, "hdc:parse+admit", now);
-            obs.count("hdc", "cmds.admitted", 1);
-        }
+        let now = ctx.now();
+        ctx.world().obs.mark(id, "hdc:parse+admit", now);
         self.pump(ctx);
     }
 
@@ -702,14 +696,9 @@ impl HdcEngine {
                     let token = self.token();
                     let done = self.ndp.schedule(ctx.now(), function, len);
                     self.ndp_pending.insert(token, (at, ctx.now()));
-                    let delay = done - ctx.now();
-                    {
-                        let now = ctx.now();
-                        let obs = &mut ctx.world().obs;
-                        obs.span("hdc", "ndp", token, now, done);
-                        obs.observe("hdc", "ndp.ns", delay);
-                    }
-                    ctx.send_self_in(delay, NdpDone { token });
+                    let now = ctx.now();
+                    ctx.world().obs.span("hdc", "ndp", token, now, done);
+                    ctx.send_self_in(done - now, NdpDone { token });
                 }
                 DevCmd::NicSend {
                     conn,
@@ -724,13 +713,10 @@ impl HdcEngine {
                     // models.
                     let delay = self.config.gather_bandwidth.transfer_time(len).max(1);
                     self.hostread_pending.insert(token, (at, ctx.now()));
-                    {
-                        let now = ctx.now();
-                        let done = now + delay;
-                        let obs = &mut ctx.world().obs;
-                        obs.span("hdc", "host-read", token, now, done);
-                        obs.observe("hdc", "host_read.ns", delay);
-                    }
+                    let now = ctx.now();
+                    ctx.world()
+                        .obs
+                        .span("hdc", "host-read", token, now, now + delay);
                     // The cache bytes themselves are modeled as zeros in
                     // engine memory (the store layer accounts content by
                     // version, not by value).
@@ -1706,7 +1692,6 @@ impl HdcEngine {
             let obs = &mut ctx.world().obs;
             obs.span_end("hdc", "completion-dma", id, now);
             obs.mark(id, "hdc:completion-dma", now);
-            obs.count("hdc", "cmds.completed", 1);
         }
         // Free the command's buffers and surface the instrumentation to the
         // driver (resolved through its claimed MSI address).

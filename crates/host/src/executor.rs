@@ -198,7 +198,6 @@ impl SwExecutor {
             let obs = &mut ctx.world().obs;
             obs.req_begin(id, now);
             obs.span_begin("host", "sw-execute", id, now);
-            obs.count("host", "jobs.submitted", 1);
         }
         self.advance(ctx, id);
     }
@@ -506,7 +505,6 @@ impl SwExecutor {
             let obs = &mut ctx.world().obs;
             obs.span_end("host", "sw-execute", id, now);
             obs.req_end(id, "host:sw-execute", now);
-            obs.count("host", "jobs.done", 1);
         }
         ctx.send_now(
             state.job.reply_to,

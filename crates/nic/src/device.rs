@@ -449,12 +449,8 @@ impl NicDevice {
             let overhead = self.config.descriptor_overhead_ns;
             ctx.send_in(overhead, wire, TransmitFrame { id: ftoken, frame });
             ctx.world().stats.counter("nic.tx_frames").add(1);
-            {
-                let now = ctx.now();
-                let obs = &mut ctx.world().obs;
-                obs.span_begin("nic", "wire-tx", ftoken, now);
-                obs.count("nic", "tx.frames", 1);
-            }
+            let now = ctx.now();
+            ctx.world().obs.span_begin("nic", "wire-tx", ftoken, now);
         }
     }
 
@@ -559,11 +555,6 @@ impl NicDevice {
             .expect_mut::<PhysMemory>()
             .write(wb_addr, &bytes);
         ctx.world().stats.counter("nic.rx_delivered").add(1);
-        {
-            let obs = &mut ctx.world().obs;
-            obs.count("nic", "rx.delivered", 1);
-            obs.observe("nic", "rx.frame_bytes", frame_len as u64);
-        }
         if !self.irq_pending {
             self.irq_pending = true;
             let window = self.config.irq_coalesce_ns;

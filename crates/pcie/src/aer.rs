@@ -117,7 +117,7 @@ impl AerLog {
 }
 
 /// Appends an entry to the world's [`AerLog`] (installing it on first
-/// use) and bumps the matching `stats`/`obs` counters.
+/// use) and bumps the matching `stats` counters.
 pub fn record(world: &mut World, time_ns: u64, token: u64, site: &'static str, kind: AerKind) {
     if world.get::<AerLog>().is_none() {
         world.insert(AerLog::default());
@@ -129,10 +129,8 @@ pub fn record(world: &mut World, time_ns: u64, token: u64, site: &'static str, k
         kind,
     });
     world.stats.counter(kind.label()).add(1);
-    world.obs.count("pcie", kind.label(), 1);
     if kind.detected() {
         world.stats.counter("aer.detected").add(1);
-        world.obs.count("pcie", "aer.detected", 1);
     }
 }
 

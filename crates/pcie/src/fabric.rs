@@ -308,14 +308,9 @@ impl PcieFabric {
                 }
             }
         }
-        {
-            let obs = &mut ctx.world().obs;
-            let end = now + delay;
-            obs.span("pcie", "dma", req.id, now, end);
-            obs.count("pcie", "dma.ops", 1);
-            obs.count("pcie", "dma.bytes", req.len as u64);
-            obs.observe("pcie", "dma.ns", delay);
-        }
+        ctx.world()
+            .obs
+            .span("pcie", "dma", req.id, now, now + delay);
         ctx.send_self_in(
             delay,
             DmaDone {
@@ -364,13 +359,10 @@ impl PcieFabric {
             .unwrap_or_else(|| panic!("MMIO write to unclaimed address {addr}"));
         ctx.world().stats.counter("pcie.mmio_writes").add(1);
         let delay = self.config.mmio_write_ns + 2 * self.config.hop_latency_ns;
-        {
-            let now = ctx.now();
-            let end = now + delay;
-            let obs = &mut ctx.world().obs;
-            obs.span("pcie", "mmio-write", addr.0, now, end);
-            obs.count("pcie", "mmio.writes", 1);
-        }
+        let now = ctx.now();
+        ctx.world()
+            .obs
+            .span("pcie", "mmio-write", addr.0, now, now + delay);
         ctx.forward_in(delay, owner, msg);
     }
 
@@ -387,13 +379,11 @@ impl PcieFabric {
             ctx.world().stats.counter("pcie.msi_lost").add(1);
             return;
         }
-        {
-            let now = ctx.now();
-            let end = now + self.config.msi_ns;
-            let obs = &mut ctx.world().obs;
-            obs.span("pcie", "msi", msi.vector as u64, now, end);
-            obs.count("pcie", "msi.delivered", 1);
-        }
+        let now = ctx.now();
+        let end = now + self.config.msi_ns;
+        ctx.world()
+            .obs
+            .span("pcie", "msi", msi.vector as u64, now, end);
         ctx.send_in(
             self.config.msi_ns,
             owner,

@@ -73,5 +73,5 @@ pub use queue::{FifoServer, LineServer, ServerBank};
 pub use rng::Rng;
 pub use stats::{BusyTracker, Counter, Histogram};
 pub use time::{Bandwidth, SimTime};
-pub use trace::{Breakdown, Category, PhaseTrace};
+pub use trace::{Breakdown, Category};
 pub use world::World;

@@ -1,5 +1,5 @@
 //! Sim-time observability: tracing spans, per-request latency anatomy,
-//! a metrics registry, and a Chrome trace-event exporter.
+//! a few window counters, and a Chrome trace-event exporter.
 //!
 //! The paper's core results are latency *anatomies* — Figures 8/11/12
 //! break one device-control operation into per-hop PCIe, doorbell, DMA
@@ -16,10 +16,11 @@
 //!   per request. Each mark closes the segment since the previous mark,
 //!   so the segments telescope: their sum equals the end-to-end latency
 //!   *exactly* (±0), by construction.
-//! * **Metrics** ([`Recorder::count`], [`Recorder::gauge_set`],
-//!   [`Recorder::observe`]) maintain named counters / gauges /
-//!   histograms per component, snapshotted into a serializable
-//!   [`MetricsReport`].
+//! * **Window counters** ([`Recorder::count`]) count only while the
+//!   recorder is on. The front end keeps three of them (`responses`,
+//!   `queued`, `cache.invalidated`) because `perfbench` reads them
+//!   over its traced window. Every other event count lives in
+//!   `World.stats`, which counts whether or not tracing is on.
 //! * **Export**: [`chrome_trace`] renders everything as Chrome
 //!   trace-event JSON loadable in Perfetto (`ui.perfetto.dev`).
 //!
@@ -33,7 +34,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::stats::Histogram;
 use crate::time::SimTime;
 
 pub mod json;
@@ -85,89 +85,38 @@ impl Anatomy {
     }
 }
 
-/// A live metric slot in the registry.
-#[derive(Clone, Debug)]
-enum Slot {
-    Counter(u64),
-    Gauge(i64),
-    Hist(Histogram),
-}
-
-/// Named metrics registered per component, keyed `(component, name)`.
+/// Named counters per component, keyed `(component, name)`.
 ///
-/// A `BTreeMap` keeps iteration (and therefore every snapshot and
-/// serialization) in deterministic name order.
+/// A `BTreeMap` keeps iteration (and therefore every snapshot) in
+/// deterministic name order.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
-    slots: BTreeMap<(&'static str, &'static str), Slot>,
+    counters: BTreeMap<(&'static str, &'static str), u64>,
 }
 
 impl MetricsRegistry {
     /// Adds `n` to the counter `component/name`, creating it at zero.
     pub fn count(&mut self, component: &'static str, name: &'static str, n: u64) {
-        match self
-            .slots
-            .entry((component, name))
-            .or_insert(Slot::Counter(0))
-        {
-            Slot::Counter(v) => *v += n,
-            other => *other = Slot::Counter(n),
-        }
+        *self.counters.entry((component, name)).or_insert(0) += n;
     }
 
-    /// Sets the gauge `component/name` to `v`.
-    pub fn gauge_set(&mut self, component: &'static str, name: &'static str, v: i64) {
-        self.slots.insert((component, name), Slot::Gauge(v));
-    }
-
-    /// Records `sample` into the histogram `component/name`.
-    pub fn observe(&mut self, component: &'static str, name: &'static str, sample: u64) {
-        match self
-            .slots
-            .entry((component, name))
-            .or_insert_with(|| Slot::Hist(Histogram::new()))
-        {
-            Slot::Hist(h) => h.record(sample),
-            other => {
-                let mut h = Histogram::new();
-                h.record(sample);
-                *other = Slot::Hist(h);
-            }
-        }
-    }
-
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when no metric has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
-    /// Snapshots every metric into a serializable report, in
-    /// `(component, name)` order.
+    /// Snapshots every counter, in `(component, name)` order.
     pub fn snapshot(&self) -> MetricsReport {
         MetricsReport {
             entries: self
-                .slots
+                .counters
                 .iter()
-                .map(|(&(component, name), slot)| MetricEntry {
+                .map(|(&(component, name), &v)| MetricEntry {
                     component: component.to_string(),
                     name: name.to_string(),
-                    value: match slot {
-                        Slot::Counter(v) => MetricValue::Counter(*v),
-                        Slot::Gauge(v) => MetricValue::Gauge(*v),
-                        Slot::Hist(h) => MetricValue::Histogram(HistogramSnapshot::of(h)),
-                    },
+                    value: MetricValue::Counter(v),
                 })
                 .collect(),
         }
     }
 }
 
-/// A point-in-time copy of the registry, serializable to JSON and back.
+/// A point-in-time copy of the registry.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricsReport {
     /// Snapshotted metrics in `(component, name)` order.
@@ -177,7 +126,7 @@ pub struct MetricsReport {
 /// One snapshotted metric.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MetricEntry {
-    /// Owning component (`"pcie"`, `"nvme"`, …).
+    /// Owning component (`"cluster"` or `"store"`).
     pub component: String,
     /// Metric name within the component.
     pub name: String,
@@ -187,153 +136,10 @@ pub struct MetricEntry {
 
 /// The value of a snapshotted metric.
 #[derive(Clone, Debug, PartialEq)]
+#[non_exhaustive]
 pub enum MetricValue {
     /// Monotonic counter.
     Counter(u64),
-    /// Last-set gauge.
-    Gauge(i64),
-    /// Latency/size distribution.
-    Histogram(HistogramSnapshot),
-}
-
-/// Sparse, serializable copy of a [`Histogram`]: only non-zero buckets
-/// are kept, as `(bucket_index, count)` pairs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HistogramSnapshot {
-    /// Number of samples.
-    pub count: u64,
-    /// Sum of all samples.
-    pub sum: u128,
-    /// Smallest sample (`u64::MAX` when empty, mirroring `Histogram`).
-    pub min: u64,
-    /// Largest sample (0 when empty).
-    pub max: u64,
-    /// Non-zero `(bucket_index, count)` pairs in index order.
-    pub buckets: Vec<(usize, u64)>,
-}
-
-impl HistogramSnapshot {
-    /// Snapshots `h`.
-    pub fn of(h: &Histogram) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: h.count(),
-            sum: h.sum(),
-            min: h.min().unwrap_or(u64::MAX),
-            max: h.max().unwrap_or(0),
-            buckets: h.nonzero_buckets().collect(),
-        }
-    }
-}
-
-impl MetricsReport {
-    /// Serializes the report to JSON.
-    pub fn to_json(&self) -> String {
-        let entries: Vec<Json> = self
-            .entries
-            .iter()
-            .map(|e| {
-                let value = match &e.value {
-                    MetricValue::Counter(v) => {
-                        Json::Obj(vec![("counter".to_string(), Json::Int(*v as i128))])
-                    }
-                    MetricValue::Gauge(v) => {
-                        Json::Obj(vec![("gauge".to_string(), Json::Int(*v as i128))])
-                    }
-                    MetricValue::Histogram(h) => Json::Obj(vec![(
-                        "histogram".to_string(),
-                        Json::Obj(vec![
-                            ("count".to_string(), Json::Int(h.count as i128)),
-                            ("sum".to_string(), Json::Int(h.sum as i128)),
-                            ("min".to_string(), Json::Int(h.min as i128)),
-                            ("max".to_string(), Json::Int(h.max as i128)),
-                            (
-                                "buckets".to_string(),
-                                Json::Arr(
-                                    h.buckets
-                                        .iter()
-                                        .map(|&(i, n)| {
-                                            Json::Arr(vec![
-                                                Json::Int(i as i128),
-                                                Json::Int(n as i128),
-                                            ])
-                                        })
-                                        .collect(),
-                                ),
-                            ),
-                        ]),
-                    )]),
-                };
-                Json::Obj(vec![
-                    ("component".to_string(), Json::Str(e.component.clone())),
-                    ("name".to_string(), Json::Str(e.name.clone())),
-                    ("value".to_string(), value),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![("metrics".to_string(), Json::Arr(entries))]).render()
-    }
-
-    /// Parses a report back from [`MetricsReport::to_json`] output.
-    pub fn from_json(text: &str) -> Result<MetricsReport, String> {
-        let root = Json::parse(text)?;
-        let metrics = root
-            .get("metrics")
-            .and_then(Json::as_arr)
-            .ok_or("missing \"metrics\" array")?;
-        let mut entries = Vec::with_capacity(metrics.len());
-        for m in metrics {
-            let component = m
-                .get("component")
-                .and_then(Json::as_str)
-                .ok_or("entry missing \"component\"")?
-                .to_string();
-            let name = m
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("entry missing \"name\"")?
-                .to_string();
-            let value = m.get("value").ok_or("entry missing \"value\"")?;
-            let value = if let Some(v) = value.get("counter").and_then(Json::as_i128) {
-                MetricValue::Counter(v as u64)
-            } else if let Some(v) = value.get("gauge").and_then(Json::as_i128) {
-                MetricValue::Gauge(v as i64)
-            } else if let Some(h) = value.get("histogram") {
-                let int = |k: &str| -> Result<i128, String> {
-                    h.get(k)
-                        .and_then(Json::as_i128)
-                        .ok_or_else(|| format!("histogram missing \"{k}\""))
-                };
-                let mut buckets = Vec::new();
-                for pair in h
-                    .get("buckets")
-                    .and_then(Json::as_arr)
-                    .ok_or("histogram missing \"buckets\"")?
-                {
-                    match pair.as_arr() {
-                        Some([Json::Int(i), Json::Int(n)]) => {
-                            buckets.push((*i as usize, *n as u64));
-                        }
-                        _ => return Err("malformed bucket pair".to_string()),
-                    }
-                }
-                MetricValue::Histogram(HistogramSnapshot {
-                    count: int("count")? as u64,
-                    sum: int("sum")? as u128,
-                    min: int("min")? as u64,
-                    max: int("max")? as u64,
-                    buckets,
-                })
-            } else {
-                return Err("unknown metric value kind".to_string());
-            };
-            entries.push(MetricEntry {
-                component,
-                name,
-                value,
-            });
-        }
-        Ok(MetricsReport { entries })
-    }
 }
 
 /// The sim-time recorder, reachable as `world.obs` from every
@@ -488,25 +294,6 @@ impl Recorder {
             return;
         }
         self.metrics.count(component, name, n);
-    }
-
-    /// Sets the gauge `component/name` (gated like spans).
-    #[inline]
-    pub fn gauge_set(&mut self, component: &'static str, name: &'static str, v: i64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.gauge_set(component, name, v);
-    }
-
-    /// Records `sample` into the histogram `component/name` (gated like
-    /// spans).
-    #[inline]
-    pub fn observe(&mut self, component: &'static str, name: &'static str, sample: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.metrics.observe(component, name, sample);
     }
 
     /// Every recorded span, in recording order.
@@ -683,11 +470,10 @@ mod tests {
         r.req_begin(1, t(0));
         r.mark(1, "x", t(3));
         r.req_end(1, "y", t(9));
-        r.count("pcie", "dma.count", 1);
-        r.observe("pcie", "dma.ns", 10);
+        r.count("store", "responses", 1);
         assert!(r.spans().is_empty());
         assert!(r.anatomy(1).is_none());
-        assert!(r.metrics().is_empty());
+        assert!(r.metrics().snapshot().entries.is_empty());
     }
 
     #[test]
@@ -737,25 +523,6 @@ mod tests {
                 },
             ]
         );
-    }
-
-    #[test]
-    fn metrics_snapshot_roundtrips_through_json() {
-        let mut r = Recorder::new();
-        r.enable();
-        r.count("pcie", "dma.count", 2);
-        r.count("pcie", "dma.count", 3);
-        r.gauge_set("cluster", "inflight", -4);
-        for v in [1u64, 1, 40, 5_000_000, u64::MAX / 2] {
-            r.observe("nvme", "flash.ns", v);
-        }
-        let report = r.metrics().snapshot();
-        let json = report.to_json();
-        let back = MetricsReport::from_json(&json).expect("parses");
-        assert_eq!(report, back);
-        // Counter accumulated, gauge kept last value.
-        assert!(json.contains("\"counter\":5"), "{json}");
-        assert!(json.contains("\"gauge\":-4"), "{json}");
     }
 
     #[test]

@@ -309,8 +309,7 @@ impl Histogram {
     }
 
     /// Iterates the non-zero `(bucket_index, count)` pairs in index
-    /// order — the sparse form used by serialized snapshots
-    /// ([`crate::obs::HistogramSnapshot`]).
+    /// order — the sparse form of the distribution.
     pub fn nonzero_buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
         self.buckets
             .iter()

@@ -3,14 +3,10 @@
 //! Figures 3a and 11 of the paper decompose end-to-end operation latency
 //! into labelled phases (file system, network stack, hash, device control,
 //! …). Each in-flight request in our simulation carries a [`Breakdown`]
-//! that the orchestrators and the HDC Engine fill in as phases complete;
-//! [`PhaseTrace`] additionally keeps start/end instants so the Figure-2
-//! style timeline can be printed.
+//! that the orchestrators and the HDC Engine fill in as phases complete.
 
 use std::collections::BTreeMap;
 use std::fmt;
-
-use crate::time::SimTime;
 
 /// Latency-breakdown categories, the union of the phase labels used across
 /// Figures 2, 3a and 11 of the paper.
@@ -172,83 +168,6 @@ impl Breakdown {
     }
 }
 
-/// A timestamped phase log for one request — enough to print the Figure-2
-/// style timeline of who was doing what, when.
-#[derive(Clone, Debug, Default)]
-pub struct PhaseTrace {
-    phases: Vec<Phase>,
-}
-
-/// One labelled interval in a [`PhaseTrace`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Phase {
-    /// Breakdown category the interval belongs to.
-    pub category: Category,
-    /// Free-form label (e.g. `"nvme doorbell"`).
-    pub label: String,
-    /// Interval start.
-    pub start: SimTime,
-    /// Interval end.
-    pub end: SimTime,
-}
-
-impl PhaseTrace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        PhaseTrace::default()
-    }
-
-    /// Appends a phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `end < start`.
-    pub fn push(
-        &mut self,
-        category: Category,
-        label: impl Into<String>,
-        start: SimTime,
-        end: SimTime,
-    ) {
-        assert!(end >= start, "phase ends before it starts");
-        self.phases.push(Phase {
-            category,
-            label: label.into(),
-            start,
-            end,
-        });
-    }
-
-    /// The recorded phases in insertion order.
-    pub fn phases(&self) -> &[Phase] {
-        &self.phases
-    }
-
-    /// Collapses the trace into a [`Breakdown`] of per-category durations.
-    pub fn to_breakdown(&self) -> Breakdown {
-        let mut b = Breakdown::new();
-        for p in &self.phases {
-            b.add(p.category, p.end - p.start);
-        }
-        b
-    }
-
-    /// Renders an ASCII timeline, one line per phase, for human inspection.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for p in &self.phases {
-            out.push_str(&format!(
-                "{:>12} .. {:>12}  [{:<18}] {}\n",
-                p.start.to_string(),
-                p.end.to_string(),
-                p.category.label(),
-                p.label
-            ));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,41 +207,6 @@ mod tests {
         assert_eq!(mean.get(Category::Hash), 20);
         assert_eq!(mean.get(Category::Read), 1);
         assert_eq!(Breakdown::mean_of(&[]), Breakdown::new());
-    }
-
-    #[test]
-    fn phase_trace_roundtrips_to_breakdown() {
-        let mut t = PhaseTrace::new();
-        t.push(
-            Category::Read,
-            "flash",
-            SimTime::from_us(1),
-            SimTime::from_us(21),
-        );
-        t.push(
-            Category::DeviceControl,
-            "doorbell",
-            SimTime::from_us(21),
-            SimTime::from_us(22),
-        );
-        let b = t.to_breakdown();
-        assert_eq!(b.get(Category::Read), 20_000);
-        assert_eq!(b.get(Category::DeviceControl), 1_000);
-        let rendered = t.render();
-        assert!(rendered.contains("doorbell"), "{rendered}");
-        assert_eq!(t.phases().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "ends before")]
-    fn phase_rejects_negative_interval() {
-        let mut t = PhaseTrace::new();
-        t.push(
-            Category::Read,
-            "bad",
-            SimTime::from_us(2),
-            SimTime::from_us(1),
-        );
     }
 
     #[test]

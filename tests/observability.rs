@@ -2,14 +2,18 @@
 //! Chrome trace export that `repro --trace-out` writes must be valid
 //! JSON covering every instrumented layer, and each request's anatomy
 //! segments must sum to its end-to-end latency **exactly** (±0 ns).
-//! Also covers the machine-readable `BENCH_fig8.json` report.
+//! Also covers the machine-readable `BENCH_fig8.json` report and the
+//! front end's window counters.
 
 use std::collections::BTreeSet;
 
 use dcs_bench::anatomy;
 use dcs_bench::fig8;
-use dcs_ctrl::sim::Json;
+use dcs_ctrl::sim::{time, Json, MetricValue, SimTime};
+use dcs_ctrl::store::cache::{Admission, CacheConfig};
+use dcs_ctrl::store::{build_store, StoreConfig, TenantSpec};
 use dcs_ctrl::workloads::scenario::DesignUnderTest;
+use dcs_ctrl::workloads::ycsb::YcsbWorkload;
 
 /// Parses the capture that `--trace-out` writes verbatim.
 fn traced_capture() -> (anatomy::TraceCapture, Json) {
@@ -162,6 +166,49 @@ fn bench_fig8_json_parses_and_contains_expected_keys() {
         assert!(
             d.get("breakdown").is_some(),
             "per-category breakdown present"
+        );
+    }
+}
+
+/// `perfbench` reads three front-end counters from `World.obs` over its
+/// traced window: `responses`, `queued` and `cache.invalidated`. A small
+/// store with an update-heavy tenant and a low `max_outstanding` both
+/// queues requests and invalidates cached objects, so all three count.
+#[test]
+fn traced_store_window_counts_responses_queueing_and_invalidation() {
+    let mut tenant = TenantSpec::new("a", YcsbWorkload::A);
+    tenant.keys = 256;
+    tenant.offered_gbps = 4.0;
+    let cfg = StoreConfig {
+        nodes: 2,
+        tenants: vec![tenant],
+        cache: CacheConfig {
+            capacity_bytes: 64 << 20,
+            admission: Admission::AdmitAll,
+        },
+        max_outstanding: 2,
+        duration_ns: time::ms(4),
+        warmup_ns: time::ms(1),
+        ..StoreConfig::default()
+    };
+    let mut sim = build_store(&cfg).sim;
+    // Traced the way perfbench traces: recording starts at warm-up end.
+    let warm_end = sim.now().as_nanos() + cfg.warmup_ns;
+    sim.run_until(SimTime::from_nanos(warm_end));
+    sim.world_mut().obs.enable();
+    sim.run();
+    let entries = sim.world().obs.metrics().snapshot().entries;
+    for name in ["responses", "queued", "cache.invalidated"] {
+        let count = entries
+            .iter()
+            .find(|e| e.component == "store" && e.name == name)
+            .map(|e| match e.value {
+                MetricValue::Counter(v) => v,
+                _ => 0,
+            });
+        assert!(
+            count.is_some_and(|v| v > 0),
+            "store/{name} must count over a traced window, got {count:?}"
         );
     }
 }
